@@ -18,22 +18,9 @@ from . import cascade as casc
 from . import cuntz, filters, loops, storage, transform
 
 
-def _load(path: str, kind: str):
-    try:
-        return storage.load(path, kind)
-    except FileNotFoundError:
-        raise storage.StorageError(f"{path}: no such file") from None
-
-
 def _sniff_bank_or_loop(path: str):
     """Accept either a bank or a loop JSON file, keyed on its fields."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise storage.StorageError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise storage.StorageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    data = storage.read_json(path)
     if isinstance(data, dict) and "filters" in data:
         return loops.filters_to_loop(storage.bank_from_dict(data))
     if isinstance(data, dict) and "coeffs" in data:
@@ -45,9 +32,9 @@ def _bank_from_design(args) -> filters.FilterBank:
     if args.preset:
         return filters.preset_bank(args.preset)
     if args.spins:
-        sf = _load(args.spins, "spins")
+        sf = storage.load(args.spins, "spins")
         return loops.loop_to_filters(loops.synthesize_from_spins(sf))
-    loop = _load(args.loop, "loop")
+    loop = storage.load(args.loop, "loop")
     return loops.loop_to_filters(loop)
 
 
@@ -88,14 +75,14 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    bank = _load(args.bank, "bank")
+    bank = storage.load(args.bank, "bank")
     ok = _print_bank_checks(bank, args.tol, args.samples)
     print("verified" if ok else "verification FAILED")
     return 0 if ok else 1
 
 
 def _cmd_cascade(args) -> int:
-    bank = _load(args.bank, "bank")
+    bank = storage.load(args.bank, "bank")
     result = casc.cascade_iterate(bank, args.depth, max_iters=args.max_iters, tol=args.tol)
     print(
         f"cascade: converged={result.converged} after {result.iterations} iterations "
@@ -115,8 +102,8 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    bank = _load(args.bank, "bank")
-    signal = _load(args.signal, "signal")
+    bank = storage.load(args.bank, "bank")
+    signal = storage.load(args.signal, "signal")
     tree = transform.analyze(signal, bank, args.levels)
     storage.save(tree, args.output)
     print(f"wrote {args.output} ({tree.coefficient_count()} coefficients, {tree.levels} levels)")
@@ -124,8 +111,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    bank = _load(args.bank, "bank")
-    tree = _load(args.tree, "tree")
+    bank = storage.load(args.bank, "bank")
+    tree = storage.load(args.tree, "tree")
     signal = transform.synthesize(tree, bank)
     storage.save(signal, args.output)
     print(f"wrote {args.output} ({signal.size} samples)")
@@ -133,7 +120,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_irreducibility(args) -> int:
-    bank = _load(args.bank, "bank")
+    bank = storage.load(args.bank, "bank")
     loop = loops.filters_to_loop(bank)
     window = args.window if args.window else max(32, bank.N * bank.g)
 
@@ -203,7 +190,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_loop(args) -> int:
-    bank = _load(args.bank, "bank")
+    bank = storage.load(args.bank, "bank")
     loop = loops.filters_to_loop(bank)
     storage.save(loop, args.output)
     print(f"wrote {args.output} (degree {loop.degree})")
@@ -279,10 +266,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except storage.StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # StorageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -196,16 +196,12 @@ def orthogonality_check(f: FilterCoeffs, N: int, tol: float = ALG_TOL) -> Orthog
     plays no role here.
     """
     a = f.taps
-    lmax = (a.size - 1) // N
-    worst_lag = 0
-    residual = 0.0
-    for l in range(lmax + 1):
-        s = np.vdot(a[: a.size - N * l], a[N * l :]) if l else np.vdot(a, a)
-        target = N if l == 0 else 0.0
-        dev = float(abs(s - target))
-        if dev > residual:
-            residual = dev
-            worst_lag = l
+    devs = [
+        float(abs(np.vdot(a[: a.size - N * l], a[N * l :]) - (N if l == 0 else 0.0)))
+        for l in range((a.size - 1) // N + 1)
+    ]
+    worst_lag = int(np.argmax(devs))  # the first maximum, or the first NaN
+    residual = devs[worst_lag]
     return OrthogonalityReport(residual <= tol, worst_lag, residual, tol)
 
 

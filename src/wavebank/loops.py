@@ -160,12 +160,15 @@ class UnitarityReport:
     tol: float
 
 
+def _polyphase_stack(bank: FilterBank) -> np.ndarray:
+    """The unpruned ``(g, N, N)`` stack ``A_d[j, r] = a^{(j)}_{Nd+r} / sqrt(N)``."""
+    N, g = bank.N, bank.g
+    return bank.dense_taps().reshape(N, g, N).transpose(1, 0, 2) / math.sqrt(N)
+
+
 def filters_to_loop(bank: FilterBank) -> PolyLoop:
     """Regroup bank taps into the polyphase loop ``A_d[j, k] = a^{(j)}_{Nd+k} / sqrt(N)``."""
-    N, g = bank.N, bank.g
-    dense = bank.dense_taps()  # (N, N*g)
-    coeffs = dense.reshape(N, g, N).transpose(1, 0, 2) / math.sqrt(N)
-    return PolyLoop(N, _prune(coeffs))
+    return PolyLoop(bank.N, _prune(_polyphase_stack(bank)))
 
 
 def loop_to_filters(loop: PolyLoop) -> FilterBank:

@@ -2,13 +2,17 @@
 
 Complex scalars are always serialized as ``[re, im]`` pairs of IEEE-754
 doubles; Python's float formatting is shortest-round-trip, so JSON kinds
-reload bit-exactly and CSV kinds within one ulp.  Writes go through a
-temporary file and an atomic rename.
+reload bit-exactly and CSV kinds within one ulp.  Each kind is one row of
+``_KIND_TABLE``: the types it saves, its encoder and its decoder.  Integer
+fields must be JSON integers, flags JSON booleans, and non-finite values are
+rejected both ways.  Writes go through a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
 
 import numpy as np
@@ -19,9 +23,6 @@ from .loops import PolyLoop, SpinFactorization
 from .transform import CoeffTree
 
 __all__ = ["StorageError", "KINDS", "save", "load", "atomic_write"]
-
-KINDS = ("bank", "loop", "spins", "signal", "tree", "samples")
-
 
 class StorageError(ValueError):
     """A file does not match the schema for its kind."""
@@ -47,7 +48,10 @@ def _unpair(v, where: str) -> complex:
 def _unpairs(vs, where: str) -> np.ndarray:
     if not isinstance(vs, list) or not vs:
         raise StorageError(f"{where}: expected a nonempty list of [re, im] pairs")
-    return np.array([_unpair(v, f"{where}[{i}]") for i, v in enumerate(vs)])
+    values = np.array([_unpair(v, f"{where}[{i}]") for i, v in enumerate(vs)])
+    if not np.isfinite(values).all():
+        raise StorageError(f"{where}: non-finite value")
+    return values
 
 
 def _get(d: dict, key: str, where: str):
@@ -56,6 +60,13 @@ def _get(d: dict, key: str, where: str):
     if key not in d:
         raise StorageError(f"{where}: missing field {key!r}")
     return d[key]
+
+
+def _int(d: dict, key: str, where: str) -> int:
+    value = _get(d, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StorageError(f"{where}.{key}: expected an integer, got {value!r}")
+    return value
 
 
 def _matrix(rows, where: str) -> np.ndarray:
@@ -82,16 +93,21 @@ def bank_from_dict(d: dict) -> FilterBank:
         raise StorageError("bank.filters: expected a list")
     for j, entry in enumerate(raw):
         taps = _unpairs(_get(entry, "taps", f"bank.filters[{j}]"), f"bank.filters[{j}].taps")
-        offset = int(_get(entry, "offset", f"bank.filters[{j}]"))
+        offset = _int(entry, "offset", f"bank.filters[{j}]")
         unpruned = bool(taps[0] == 0 or taps[-1] == 0)
         filters.append(FilterCoeffs(taps, offset=offset, unpruned=unpruned))
     meta = d.get("meta", {})
+    if not isinstance(meta, dict):
+        raise StorageError("bank.meta: expected a JSON object")
+    normalized = meta.get("lowpass_normalized", True)
+    if not isinstance(normalized, bool):
+        raise StorageError(f"bank.meta.lowpass_normalized: expected true or false, got {normalized!r}")
     try:
         return FilterBank(
-            int(_get(d, "N", "bank")),
-            int(_get(d, "g", "bank")),
+            _int(d, "N", "bank"),
+            _int(d, "g", "bank"),
             tuple(filters),
-            lowpass_normalized=bool(meta.get("lowpass_normalized", True)),
+            lowpass_normalized=normalized,
             name=str(meta.get("name", "")),
         )
     except ValueError as exc:
@@ -111,7 +127,7 @@ def loop_from_dict(d: dict) -> PolyLoop:
         raise StorageError("loop.coeffs: expected a nonempty list")
     coeffs = np.stack([_matrix(c, f"loop.coeffs[{i}]") for i, c in enumerate(raw)])
     try:
-        return PolyLoop(int(_get(d, "N", "loop")), coeffs)
+        return PolyLoop(_int(d, "N", "loop"), coeffs)
     except ValueError as exc:
         raise StorageError(f"loop: {exc}") from None
 
@@ -134,7 +150,7 @@ def spins_from_dict(d: dict) -> SpinFactorization:
         vecs = _get(entry, "vectors", f"spins.factors[{i}]")
         factors.append(_matrix(vecs, f"spins.factors[{i}].vectors"))
     try:
-        return SpinFactorization(int(_get(d, "N", "spins")), V, tuple(factors))
+        return SpinFactorization(_int(d, "N", "spins"), V, tuple(factors))
     except ValueError as exc:
         raise StorageError(f"spins: {exc}") from None
 
@@ -163,8 +179,8 @@ def tree_from_dict(d: dict) -> CoeffTree:
         )
     try:
         return CoeffTree(
-            int(_get(d, "N", "tree")),
-            int(_get(d, "levels", "tree")),
+            _int(d, "N", "tree"),
+            _int(d, "levels", "tree"),
             _unpairs(_get(d, "approx", "tree"), "tree.approx"),
             tuple(details),
         )
@@ -172,116 +188,142 @@ def tree_from_dict(d: dict) -> CoeffTree:
         raise StorageError(f"tree: {exc}") from None
 
 
-# CSV kinds
+# CSV kinds: one writer and one parser for rows ``<first column>,re,im``
 
-def _signal_lines(values: np.ndarray) -> list[str]:
-    lines = ["index,re,im"]
-    for i, z in enumerate(values):
-        lines.append(f"{i},{float(z.real)!r},{float(z.imag)!r}")
-    return lines
+def _csv_text(header: str, first: np.ndarray, values: np.ndarray) -> str:
+    if not np.isfinite(values).all():
+        raise StorageError("cannot store non-finite values")
+    rows = zip(first.tolist(), values.real.tolist(), values.imag.tolist())
+    return "\n".join([header, *(f"{a!r},{re!r},{im!r}" for a, re, im in rows)]) + "\n"
 
 
-def _signal_parse(text: str, path: str) -> np.ndarray:
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != "index,re,im":
-        raise StorageError(f"{path}:1: expected header 'index,re,im'")
-    values = []
+def _csv_parse(path: str, header: str, first_type) -> tuple[list, np.ndarray]:
+    lines = _read(path).strip().splitlines()
+    if not lines or lines[0].strip() != header:
+        raise StorageError(f"{path}:1: expected header {header!r}")
+    firsts, values = [], []
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 3:
             raise StorageError(f"{path}:{ln}: expected 3 comma-separated fields")
         try:
-            idx, re, im = int(parts[0]), float(parts[1]), float(parts[2])
+            first, re, im = first_type(parts[0]), float(parts[1]), float(parts[2])
         except ValueError:
             raise StorageError(f"{path}:{ln}: non-numeric field") from None
-        if idx != ln - 2:
-            raise StorageError(f"{path}:{ln}: index {idx} out of order")
+        if not (math.isfinite(first) and math.isfinite(re) and math.isfinite(im)):
+            raise StorageError(f"{path}:{ln}: non-finite field")
+        firsts.append(first)
         values.append(complex(re, im))
     if not values:
-        raise StorageError(f"{path}: signal holds no rows")
-    return np.array(values)
+        raise StorageError(f"{path}: file holds no rows")
+    return firsts, np.array(values)
 
 
-def _samples_lines(f: SampledFunction) -> list[str]:
-    lines = ["x,re,im"]
-    for x, z in zip(f.grid(), f.values):
-        lines.append(f"{float(x)!r},{float(z.real)!r},{float(z.imag)!r}")
-    return lines
+def _signal_to_text(obj) -> str:
+    values = np.asarray(obj, dtype=np.complex128)
+    if values.ndim != 1:
+        raise StorageError("signals must be one-dimensional")
+    return _csv_text("index,re,im", np.arange(values.size), values)
 
 
-def _samples_parse(text: str, path: str) -> tuple[np.ndarray, np.ndarray]:
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != "x,re,im":
-        raise StorageError(f"{path}:1: expected header 'x,re,im'")
-    xs, values = [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise StorageError(f"{path}:{ln}: expected 3 comma-separated fields")
+def _signal_from_file(path: str) -> np.ndarray:
+    index, values = _csv_parse(path, "index,re,im", int)
+    for i, idx in enumerate(index):
+        if idx != i:
+            raise StorageError(f"{path}:{i + 2}: index {idx} out of order")
+    return values
+
+
+def _samples_from_file(path: str) -> tuple[np.ndarray, np.ndarray]:
+    xs, values = _csv_parse(path, "x,re,im", float)
+    return np.array(xs), values
+
+
+# reading, and the kind table
+
+def _read(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise StorageError(f"{path}: no such file") from None
+
+
+def read_json(path: str):
+    """Parse a JSON file with the same errors as `load`, before its kind is known."""
+
+    def reject(token: str):
+        raise StorageError(f"{path}: non-finite number {token}")
+
+    try:
+        return json.loads(_read(path), parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        raise StorageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+
+
+def _json_kind(cls: type, to_dict, from_dict) -> tuple:
+    def encode(obj) -> str:
         try:
-            xs.append(float(parts[0]))
-            values.append(complex(float(parts[1]), float(parts[2])))
+            return json.dumps(to_dict(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
         except ValueError:
-            raise StorageError(f"{path}:{ln}: non-numeric field") from None
-    if not xs:
-        raise StorageError(f"{path}: sample file holds no rows")
-    return np.array(xs), np.array(values)
+            raise StorageError("cannot store non-finite values") from None
+
+    def decode(path: str):
+        data = read_json(path)
+        try:
+            return from_dict(data)
+        except StorageError as exc:
+            raise StorageError(f"{path}: {exc}") from None
+
+    return (cls,), encode, decode
+
+
+# kind -> (the types it saves, value -> text, path -> value)
+_KIND_TABLE = {
+    "bank": _json_kind(FilterBank, bank_to_dict, bank_from_dict),
+    "loop": _json_kind(PolyLoop, loop_to_dict, loop_from_dict),
+    "spins": _json_kind(SpinFactorization, spins_to_dict, spins_from_dict),
+    "signal": ((np.ndarray, list, tuple), _signal_to_text, _signal_from_file),
+    "tree": _json_kind(CoeffTree, tree_to_dict, tree_from_dict),
+    "samples": (
+        (SampledFunction,),
+        lambda f: _csv_text("x,re,im", f.grid(), f.values),
+        _samples_from_file,
+    ),
+}
+KINDS = tuple(_KIND_TABLE)
 
 
 def atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write ``text`` through a uniquely named temporary file beside ``path``.
 
-
-_ENCODERS = {
-    "bank": (FilterBank, bank_to_dict),
-    "loop": (PolyLoop, loop_to_dict),
-    "spins": (SpinFactorization, spins_to_dict),
-    "tree": (CoeffTree, tree_to_dict),
-}
+    The temporary file is created like `open` would create ``path`` (mode
+    0666 less the umask) and is removed if anything fails before the rename.
+    """
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def save(obj, path: str) -> None:
     """Write a value in the format of its kind (dispatch on type)."""
-    for _, (cls, encode) in _ENCODERS.items():
-        if isinstance(obj, cls):
-            atomic_write(path, json.dumps(encode(obj), indent=2, sort_keys=True) + "\n")
+    for types, encode, _ in _KIND_TABLE.values():
+        if isinstance(obj, types):
+            atomic_write(path, encode(obj))
             return
-    if isinstance(obj, SampledFunction):
-        atomic_write(path, "\n".join(_samples_lines(obj)) + "\n")
-        return
-    if isinstance(obj, np.ndarray) or isinstance(obj, (list, tuple)):
-        values = np.asarray(obj, dtype=np.complex128)
-        if values.ndim != 1:
-            raise StorageError("signals must be one-dimensional")
-        atomic_write(path, "\n".join(_signal_lines(values)) + "\n")
-        return
     raise StorageError(f"no storage kind for object of type {type(obj).__name__}")
 
 
 def load(path: str, kind: str):
     """Read a value of the given kind; raises StorageError with context on mismatch."""
-    if kind not in KINDS:
+    if kind not in _KIND_TABLE:
         raise StorageError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if kind == "signal":
-        return _signal_parse(text, path)
-    if kind == "samples":
-        return _samples_parse(text, path)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StorageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
-    decoder = {
-        "bank": bank_from_dict,
-        "loop": loop_from_dict,
-        "spins": spins_from_dict,
-        "tree": tree_from_dict,
-    }[kind]
-    try:
-        return decoder(data)
-    except StorageError as exc:
-        raise StorageError(f"{path}: {exc}") from None
+    _, _, decode = _KIND_TABLE[kind]
+    return decode(path)

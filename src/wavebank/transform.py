@@ -3,19 +3,20 @@
 Signals are circular of length L with N^levels dividing L.  Analysis applies
 the channel adjoints ``S_j^*``: one step sends a length-``L_c`` vector to
 ``N-1`` detail channels plus one coarse channel of length ``L_c / N``, and
-the coarse channel is split again at the next level.  Orthogonality of the
-bank makes the whole map unitary, so reconstruction and the energy balance
-are exact to rounding.
+the coarse channel is split again at the next level.  Both directions run on
+the bank's polyphase coefficients ``A_d``, computing all N channels of a
+level at once.  Orthogonality of the bank makes the whole map unitary, so
+reconstruction and the energy balance are exact to rounding.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import FilterBank, FilterCoeffs
+from .filters import FilterBank
+from .loops import _polyphase_stack
 
 __all__ = ["CoeffTree", "analyze", "synthesize", "energy_report"]
 
@@ -65,24 +66,6 @@ class CoeffTree:
         return self.approx.size + sum(c.size for level in self.details for c in level)
 
 
-def _analysis_step(x: np.ndarray, f: FilterCoeffs, N: int) -> np.ndarray:
-    L = x.size
-    l = np.arange(L // N)
-    out = np.zeros(L // N, dtype=np.complex128)
-    for i, c in enumerate(f.taps):
-        out += np.conj(c) * x[(N * l + f.offset + i) % L]
-    return out / math.sqrt(N)
-
-
-def _synthesis_step(c: np.ndarray, f: FilterCoeffs, N: int) -> np.ndarray:
-    L = c.size * N
-    l = np.arange(c.size)
-    out = np.zeros(L, dtype=np.complex128)
-    for i, cf in enumerate(f.taps):
-        out[(N * l + f.offset + i) % L] += cf * c
-    return out / math.sqrt(N)
-
-
 def analyze(signal, bank: FilterBank, levels: int) -> CoeffTree:
     """Split a circular signal into ``levels`` rounds of subband coefficients.
 
@@ -100,11 +83,22 @@ def analyze(signal, bank: FilterBank, levels: int) -> CoeffTree:
         raise ValueError(f"N^levels = {N**levels} does not divide the signal length {x.size}")
     if x.size < N * bank.g:
         raise ValueError(f"signal length {x.size} is shorter than the bank span {N * bank.g}")
+    A = _polyphase_stack(bank).conj()
     details = []
     cur = x
     for _ in range(levels):
-        details.append(tuple(_analysis_step(cur, f, N) for f in bank.filters[1:]))
-        cur = _analysis_step(cur, bank.lowpass, N)
+        # c_j[l] = sum_{d,r} conj(A_d[j, r]) x[N(l + d) + r] over phase-major
+        # blocks of the signal extended cyclically by len(A) - 1 blocks, which
+        # wraps several times when a stage is shorter than the tap span.  An
+        # elementwise multiply-add, not a matmul, keeps exact cancellations
+        # (a constant signal's Haar details) exactly zero.
+        M = cur.size // N
+        X = np.take(cur.reshape(M, N).T, np.arange(M + len(A) - 1), axis=1, mode="wrap")
+        out = [np.zeros(M, dtype=np.complex128) for _ in range(N)]
+        for d, j, r in np.ndindex(A.shape):
+            out[j] += A[d, j, r] * X[r, d : d + M]
+        cur, *channels = out
+        details.append(tuple(channels))
     return CoeffTree(N, levels, cur, tuple(details))
 
 
@@ -114,12 +108,18 @@ def synthesize(tree: CoeffTree, bank: FilterBank) -> np.ndarray:
         raise ValueError(f"bank scale {bank.N} differs from tree scale {tree.N}")
     if tree.signal_length < bank.N * bank.g:
         raise ValueError("tree is too short for this bank's tap span")
+    A = _polyphase_stack(bank)
     cur = tree.approx
     for channels in reversed(tree.details):
-        out = _synthesis_step(cur, bank.lowpass, bank.N)
-        for f, c in zip(bank.filters[1:], channels):
-            out += _synthesis_step(c, f, bank.N)
-        cur = out
+        # the adjoint of one analysis level, folded back onto the period
+        c, M = (cur, *channels), cur.size
+        Y = np.zeros((bank.N, M + len(A) - 1), dtype=np.complex128)
+        for d, j, r in np.ndindex(A.shape):
+            Y[r, d : d + M] += A[d, j, r] * c[j]
+        for s in range(M, Y.shape[1], M):
+            n = min(M, Y.shape[1] - s)
+            Y[:, :n] += Y[:, s : s + n]
+        cur = Y[:, :M].T.reshape(-1)
     return cur
 
 

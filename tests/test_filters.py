@@ -220,3 +220,11 @@ def test_bank_validation():
         FilterBank(2, 1, (FilterCoeffs([1, 1]),))  # wrong channel count
     with pytest.raises(ValueError):
         FilterBank(2, 1, (FilterCoeffs([1, 1, 1]), FilterCoeffs([1, 1])))  # span 3 > N*g
+
+
+def test_orthogonality_check_fails_on_nan():
+    rep = orthogonality_check(FilterCoeffs([float("nan"), 1.0]), 2)
+    assert not rep.passed
+    assert math.isnan(rep.residual) and rep.worst_lag == 0
+    bank = FilterBank(2, 1, (FilterCoeffs([1.0, float("nan")]), FilterCoeffs([1.0, -1.0])))
+    assert not verify_bank(bank).passed

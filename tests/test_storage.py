@@ -1,10 +1,14 @@
 import json
+import os
+import re
+import stat
 
 import numpy as np
 import pytest
 
 from conftest import random_signal, random_spin_bank, random_spins
 from wavebank import (
+    SampledFunction,
     StorageError,
     analyze,
     cascade_iterate,
@@ -15,6 +19,8 @@ from wavebank import (
     save,
     synthesize_from_spins,
 )
+from wavebank.cli import main
+from wavebank.storage import atomic_write
 
 
 def test_bank_round_trip_bit_exact(tmp_path):
@@ -115,3 +121,132 @@ def test_saved_json_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     data = json.loads(p1.read_text())
     assert set(data) == {"N", "g", "filters", "meta"}
+
+
+def _saved(tmp_path, obj, name):
+    path = tmp_path / name
+    save(obj, str(path))
+    return path, json.loads(path.read_text())
+
+
+def test_missing_file_is_a_storage_error(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(StorageError, match=re.escape(f"{missing}: no such file")):
+        load(missing, "bank")
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("bank", ("N",), "2"),
+        ("bank", ("g",), 2.0),
+        ("bank", ("filters", 0, "offset"), 0.7),
+        ("bank", ("N",), True),
+        ("loop", ("N",), 2.0),
+        ("spins", ("N",), "3"),
+        ("tree", ("levels",), 1.5),
+        ("tree", ("levels",), True),
+    ],
+)
+def test_integer_fields_must_be_json_integers(tmp_path, kind, field, value):
+    rng = np.random.default_rng(5)
+    obj = {
+        "bank": preset_bank("db4"),
+        "loop": filters_to_loop(preset_bank("db4")),
+        "spins": random_spins(rng, 3, 2),
+        "tree": analyze(random_signal(rng, 16), preset_bank("haar"), 2),
+    }[kind]
+    path, data = _saved(tmp_path, obj, f"{kind}.json")
+    holder = data
+    for key in field[:-1]:
+        holder = holder[key]
+    holder[field[-1]] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(StorageError, match="expected an integer"):
+        load(str(path), kind)
+
+
+def test_lowpass_flag_must_be_a_json_boolean(tmp_path):
+    path, data = _saved(tmp_path, preset_bank("haar"), "bank.json")
+    data["meta"]["lowpass_normalized"] = "false"
+    path.write_text(json.dumps(data))
+    with pytest.raises(StorageError, match="lowpass_normalized"):
+        load(str(path), "bank")
+    data["meta"] = ["haar"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(StorageError, match="meta"):
+        load(str(path), "bank")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_json_numbers_rejected(tmp_path, token):
+    path, _ = _saved(tmp_path, preset_bank("haar"), "bank.json")
+    text = path.read_text()
+    path.write_text(text.replace("1.0", token, 1))
+    with pytest.raises(StorageError, match="non-finite"):
+        load(str(path), "bank")
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-Infinity", "1e999"])
+def test_non_finite_csv_fields_rejected(tmp_path, field):
+    path = tmp_path / "sig.csv"
+    path.write_text(f"index,re,im\n0,1.0,0.0\n1,{field},0.0\n")
+    with pytest.raises(StorageError, match="sig.csv:3: non-finite"):
+        load(str(path), "signal")
+    path = tmp_path / "phi.csv"
+    path.write_text(f"x,re,im\n{field},1.0,0.0\n")
+    with pytest.raises(StorageError, match="phi.csv:2: non-finite"):
+        load(str(path), "samples")
+
+
+def test_saving_non_finite_values_fails_before_writing(tmp_path):
+    x = np.ones(8, dtype=complex)
+    x[3] = np.nan
+    tree = analyze(x, preset_bank("haar"), 1)
+    bad_phi = SampledFunction(np.full(4, np.inf), 2, 2)
+    for obj, name in ((x, "sig.csv"), (tree, "tree.json"), (bad_phi, "phi.csv")):
+        with pytest.raises(StorageError, match="non-finite"):
+            save(obj, str(tmp_path / name))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_exits_2_on_a_non_finite_signal(tmp_path, capsys):
+    bank = tmp_path / "bank.json"
+    save(preset_bank("haar"), str(bank))
+    sig = tmp_path / "sig.csv"
+    sig.write_text("index,re,im\n0,nan,0.0\n1,1.0,0.0\n")
+    out = tmp_path / "tree.json"
+    assert main(["transform-analyze", str(sig), "--bank", str(bank), "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_atomic_write_uses_a_unique_temp_file(tmp_path, monkeypatch):
+    seen = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        seen.append(src)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    target = tmp_path / "out.json"
+    atomic_write(str(target), "one\n")
+    atomic_write(str(target), "two\n")
+    assert len(set(seen)) == 2
+    assert all(os.path.dirname(s) == str(tmp_path) for s in seen)
+    assert target.read_text() == "two\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+
+def test_atomic_write_removes_its_temp_file_on_failure(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(str(tmp_path / "out.json"), "text\n")
+    assert list(tmp_path.iterdir()) == []

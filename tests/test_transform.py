@@ -6,9 +6,12 @@ import pytest
 from conftest import random_signal, random_spin_bank
 from wavebank import (
     CoeffTree,
+    FilterBank,
+    FilterCoeffs,
     analyze,
     build_operators,
     energy_report,
+    filters_to_loop,
     preset_bank,
     synthesize,
 )
@@ -165,3 +168,72 @@ def test_channel_counts():
     assert all(len(level) == 3 for level in tree.details)
     assert [c.size for c in tree.details[0]] == [16, 16, 16]
     assert tree.approx.size == 1
+
+
+def _reference_channels(x, bank):
+    # one level tap by tap with cyclic indices, valid at any period
+    N, L = bank.N, x.size
+    l = np.arange(L // N)
+    out = []
+    for f in bank.filters:
+        c = np.zeros(L // N, dtype=complex)
+        for i, a in enumerate(f.taps):
+            c += np.conj(a) * x[(N * l + f.offset + i) % L]
+        out.append(c / math.sqrt(N))
+    return out
+
+
+def _reference_merge(channels, bank):
+    N, M = bank.N, channels[0].size
+    l = np.arange(M)
+    y = np.zeros(N * M, dtype=complex)
+    for f, c in zip(bank.filters, channels):
+        for i, a in enumerate(f.taps):
+            y[(N * l + f.offset + i) % (N * M)] += a * c
+    return y / math.sqrt(N)
+
+
+@pytest.mark.parametrize("N, k, L, levels", [(2, 8, 32, 5), (3, 5, 27, 3)])
+def test_stages_shorter_than_the_tap_span_wrap(N, k, L, levels):
+    rng = np.random.default_rng(10 + N)
+    bank = random_spin_bank(rng, N, k)
+    assert bank.g == k + 1 and L // N**levels < N * bank.g
+    x = random_signal(rng, L)
+    tree = analyze(x, bank, levels)
+    cur = x
+    for n in range(levels):
+        cur, *details = _reference_channels(cur, bank)
+        for got, want in zip(tree.details[n], details):
+            assert np.abs(got - want).max() <= 1e-13
+    assert np.abs(tree.approx - cur).max() <= 1e-13
+    cur = tree.approx
+    for channels in reversed(tree.details):
+        cur = _reference_merge((cur, *channels), bank)
+    y = synthesize(tree, bank)
+    assert np.abs(y - cur).max() <= 1e-13
+    assert np.abs(y - x).max() <= 1e-12
+
+
+def test_taps_below_the_loop_prune_threshold_are_kept():
+    # the trailing N-tap block is below the relative threshold at which
+    # filters_to_loop drops a coefficient, but it is part of the bank
+    tail = 8e-13
+    low, high = preset_bank("db4").filters
+    bank = FilterBank(
+        2,
+        3,
+        (
+            FilterCoeffs(np.concatenate([low.taps, [tail, tail]])),
+            FilterCoeffs(np.concatenate([high.taps, [tail, -tail]])),
+        ),
+    )
+    assert filters_to_loop(bank).degree == 1
+    rng = np.random.default_rng(12)
+    L = 12
+    ops = build_operators(bank, L).ops
+    x = random_signal(rng, L)
+    tree = analyze(x, bank, 1)
+    assert np.abs(tree.approx - ops[0].conj().T @ x).max() <= 1e-14
+    assert np.abs(tree.details[0][0] - ops[1].conj().T @ x).max() <= 1e-14
+    back = synthesize(tree, bank)
+    assert np.abs(back - (ops[0] @ tree.approx + ops[1] @ tree.details[0][0])).max() <= 1e-14
