@@ -11,21 +11,10 @@ they used.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import cascade as casc
 from . import cuntz, filters, loops, storage, transform
-
-
-def _sniff_bank_or_loop(path: str):
-    """Accept either a bank or a loop JSON file, keyed on its fields."""
-    data = storage.read_json(path)
-    if isinstance(data, dict) and "filters" in data:
-        return loops.filters_to_loop(storage.bank_from_dict(data))
-    if isinstance(data, dict) and "coeffs" in data:
-        return storage.loop_from_dict(data)
-    raise storage.StorageError(f"{path}: neither a bank nor a loop (no 'filters'/'coeffs' field)")
 
 
 def _bank_from_design(args) -> filters.FilterBank:
@@ -90,14 +79,13 @@ def _cmd_cascade(args) -> int:
     )
     lo, hi = result.phi.support
     print(f"support [{lo:g}, {hi:g}], grid step {result.phi.step:g}")
+    psis = casc.build_wavelets(bank, result.phi) if args.wavelets else []
     storage.save(result.phi, args.output)
     print(f"wrote {args.output}")
-    if args.wavelets:
-        psis = casc.build_wavelets(bank, result.phi)
-        for j, psi in enumerate(psis, start=1):
-            path = f"{args.wavelets}{j}.csv"
-            storage.save(psi, path)
-            print(f"wrote {path}")
+    for j, psi in enumerate(psis, start=1):
+        path = f"{args.wavelets}{j}.csv"
+        storage.save(psi, path)
+        print(f"wrote {path}")
     return 0
 
 
@@ -149,10 +137,10 @@ def _cmd_irreducibility(args) -> int:
             "residual": probe.residual,
             "confidence": "evidence",
         }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    text = storage.json_text(report)
+    print(text, end="")
     if args.output:
-        storage.atomic_write(args.output, text + "\n")
+        storage.atomic_write(args.output, text)
         print(f"wrote {args.output}")
 
     if args.detector == "both":
@@ -170,7 +158,9 @@ def _cmd_irreducibility(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    loop = _sniff_bank_or_loop(args.input)
+    loop = storage.load_bank_or_loop(args.input)
+    if isinstance(loop, filters.FilterBank):
+        loop = loops.filters_to_loop(loop)
     unit = loops.unitarity_check(loop)
     if not unit.passed:
         print(

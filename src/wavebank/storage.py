@@ -2,15 +2,18 @@
 
 Complex scalars are always serialized as ``[re, im]`` pairs of IEEE-754
 doubles; Python's float formatting is shortest-round-trip, so JSON kinds
-reload bit-exactly and CSV kinds within one ulp.  Each kind is one row of
-``_KIND_TABLE``: the types it saves, its encoder and its decoder.  Integer
-fields must be JSON integers, flags JSON booleans, and non-finite values are
+reload bit-exactly and CSV kinds within one ulp.  Every complex array goes
+through one codec (`_array_json`, `_array`) and every JSON text through one
+writer (`json_text`).  Each kind is one row of ``_KIND_TABLE``: the types it
+saves, its encoder and its decoder.  Integer fields must be JSON integers,
+flags JSON booleans, pair entries JSON numbers, and non-finite values are
 rejected both ways.  Writes go through a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -28,30 +31,32 @@ class StorageError(ValueError):
     """A file does not match the schema for its kind."""
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _array_json(values) -> list:
+    """A complex array of any rank as nested lists ending in ``[re, im]`` pairs."""
+    values = np.asarray(values, dtype=np.complex128)
+    return np.stack([values.real, values.imag], -1).tolist()
 
 
-def _pairs(values) -> list[list[float]]:
-    return [_pair(z) for z in np.asarray(values, dtype=np.complex128)]
+def _array(value, where: str, ndim: int) -> np.ndarray:
+    """Decode `_array_json` output of rank ``ndim`` bit for bit.
 
-
-def _unpair(v, where: str) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise StorageError(f"{where}: expected a [re, im] pair, got {v!r}")
+    The float64 pairs are viewed as complex128, which keeps every bit,
+    including the sign of a zero; ``re + 1j*im`` would not.
+    """
     try:
-        return complex(float(v[0]), float(v[1]))
-    except (TypeError, ValueError):
-        raise StorageError(f"{where}: non-numeric entry in {v!r}") from None
-
-
-def _unpairs(vs, where: str) -> np.ndarray:
-    if not isinstance(vs, list) or not vs:
-        raise StorageError(f"{where}: expected a nonempty list of [re, im] pairs")
-    values = np.array([_unpair(v, f"{where}[{i}]") for i, v in enumerate(vs)])
-    if not np.isfinite(values).all():
+        parts = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        parts = None
+    if parts is None or parts.ndim != ndim + 1 or parts.shape[-1] != 2:
+        raise StorageError(f"{where}: expected {ndim}-deep nested lists of [re, im] pairs")
+    entries = value
+    for _ in range(ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if not set(map(type, entries)) <= {int, float}:
+        raise StorageError(f"{where}: [re, im] entries must be JSON numbers")
+    if not np.isfinite(parts).all():
         raise StorageError(f"{where}: non-finite value")
-    return values
+    return parts.view(np.complex128)[..., 0]
 
 
 def _get(d: dict, key: str, where: str):
@@ -69,10 +74,11 @@ def _int(d: dict, key: str, where: str) -> int:
     return value
 
 
-def _matrix(rows, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise StorageError(f"{where}: expected a nonempty list of rows")
-    return np.stack([_unpairs(row, f"{where}[{i}]") for i, row in enumerate(rows)])
+def _list(d: dict, key: str, where: str) -> list:
+    value = _get(d, key, where)
+    if not isinstance(value, list):
+        raise StorageError(f"{where}.{key}: expected a list")
+    return value
 
 
 # JSON encoders / decoders per kind
@@ -81,111 +87,77 @@ def bank_to_dict(bank: FilterBank) -> dict:
     return {
         "N": bank.N,
         "g": bank.g,
-        "filters": [{"offset": f.offset, "taps": _pairs(f.taps)} for f in bank.filters],
+        "filters": [{"offset": f.offset, "taps": _array_json(f.taps)} for f in bank.filters],
         "meta": {"name": bank.name, "lowpass_normalized": bank.lowpass_normalized},
     }
 
 
 def bank_from_dict(d: dict) -> FilterBank:
     filters = []
-    raw = _get(d, "filters", "bank")
-    if not isinstance(raw, list):
-        raise StorageError("bank.filters: expected a list")
-    for j, entry in enumerate(raw):
-        taps = _unpairs(_get(entry, "taps", f"bank.filters[{j}]"), f"bank.filters[{j}].taps")
+    for j, entry in enumerate(_list(d, "filters", "bank")):
+        taps = _array(_get(entry, "taps", f"bank.filters[{j}]"), f"bank.filters[{j}].taps", 1)
         offset = _int(entry, "offset", f"bank.filters[{j}]")
-        unpruned = bool(taps[0] == 0 or taps[-1] == 0)
-        filters.append(FilterCoeffs(taps, offset=offset, unpruned=unpruned))
+        filters.append(FilterCoeffs(taps, offset=offset, unpruned=bool(taps[0] == 0 or taps[-1] == 0)))
     meta = d.get("meta", {})
     if not isinstance(meta, dict):
         raise StorageError("bank.meta: expected a JSON object")
     normalized = meta.get("lowpass_normalized", True)
     if not isinstance(normalized, bool):
         raise StorageError(f"bank.meta.lowpass_normalized: expected true or false, got {normalized!r}")
-    try:
-        return FilterBank(
-            _int(d, "N", "bank"),
-            _int(d, "g", "bank"),
-            tuple(filters),
-            lowpass_normalized=normalized,
-            name=str(meta.get("name", "")),
-        )
-    except ValueError as exc:
-        raise StorageError(f"bank: {exc}") from None
+    return FilterBank(
+        _int(d, "N", "bank"),
+        _int(d, "g", "bank"),
+        tuple(filters),
+        lowpass_normalized=normalized,
+        name=str(meta.get("name", "")),
+    )
 
 
 def loop_to_dict(loop: PolyLoop) -> dict:
-    return {
-        "N": loop.N,
-        "coeffs": [[_pairs(row) for row in coeff] for coeff in loop.coeffs],
-    }
+    return {"N": loop.N, "coeffs": _array_json(loop.coeffs)}
 
 
 def loop_from_dict(d: dict) -> PolyLoop:
-    raw = _get(d, "coeffs", "loop")
-    if not isinstance(raw, list) or not raw:
-        raise StorageError("loop.coeffs: expected a nonempty list")
-    coeffs = np.stack([_matrix(c, f"loop.coeffs[{i}]") for i, c in enumerate(raw)])
-    try:
-        return PolyLoop(_int(d, "N", "loop"), coeffs)
-    except ValueError as exc:
-        raise StorageError(f"loop: {exc}") from None
+    return PolyLoop(_int(d, "N", "loop"), _array(_get(d, "coeffs", "loop"), "loop.coeffs", 3))
 
 
 def spins_to_dict(sf: SpinFactorization) -> dict:
     return {
         "N": sf.N,
-        "V": [_pairs(row) for row in sf.V],
-        "factors": [{"vectors": [_pairs(v) for v in vecs]} for vecs in sf.factors],
+        "V": _array_json(sf.V),
+        "factors": [{"vectors": _array_json(vecs)} for vecs in sf.factors],
     }
 
 
 def spins_from_dict(d: dict) -> SpinFactorization:
-    V = _matrix(_get(d, "V", "spins"), "spins.V")
-    raw = _get(d, "factors", "spins")
-    if not isinstance(raw, list):
-        raise StorageError("spins.factors: expected a list")
-    factors = []
-    for i, entry in enumerate(raw):
-        vecs = _get(entry, "vectors", f"spins.factors[{i}]")
-        factors.append(_matrix(vecs, f"spins.factors[{i}].vectors"))
-    try:
-        return SpinFactorization(_int(d, "N", "spins"), V, tuple(factors))
-    except ValueError as exc:
-        raise StorageError(f"spins: {exc}") from None
+    V = _array(_get(d, "V", "spins"), "spins.V", 2)
+    factors = [
+        _array(_get(entry, "vectors", f"spins.factors[{i}]"), f"spins.factors[{i}].vectors", 2)
+        for i, entry in enumerate(_list(d, "factors", "spins"))
+    ]
+    return SpinFactorization(_int(d, "N", "spins"), V, tuple(factors))
 
 
 def tree_to_dict(tree: CoeffTree) -> dict:
     return {
         "N": tree.N,
         "levels": tree.levels,
-        "approx": _pairs(tree.approx),
-        "details": [[_pairs(c) for c in channels] for channels in tree.details],
+        "approx": _array_json(tree.approx),
+        "details": [_array_json(channels) for channels in tree.details],
     }
 
 
 def tree_from_dict(d: dict) -> CoeffTree:
-    raw = _get(d, "details", "tree")
-    if not isinstance(raw, list):
-        raise StorageError("tree.details: expected a list")
-    details = []
-    for n, channels in enumerate(raw, start=1):
-        if not isinstance(channels, list):
-            raise StorageError(f"tree.details[{n - 1}]: expected a list of channels")
-        details.append(
-            tuple(
-                _unpairs(c, f"tree.details[{n - 1}][{j}]") for j, c in enumerate(channels)
-            )
-        )
-    try:
-        return CoeffTree(
-            _int(d, "N", "tree"),
-            _int(d, "levels", "tree"),
-            _unpairs(_get(d, "approx", "tree"), "tree.approx"),
-            tuple(details),
-        )
-    except ValueError as exc:
-        raise StorageError(f"tree: {exc}") from None
+    details = [
+        tuple(_array(channels, f"tree.details[{n}]", 2))
+        for n, channels in enumerate(_list(d, "details", "tree"))
+    ]
+    return CoeffTree(
+        _int(d, "N", "tree"),
+        _int(d, "levels", "tree"),
+        _array(_get(d, "approx", "tree"), "tree.approx", 1),
+        tuple(details),
+    )
 
 
 # CSV kinds: one writer and one parser for rows ``<first column>,re,im``
@@ -197,8 +169,8 @@ def _csv_text(header: str, first: np.ndarray, values: np.ndarray) -> str:
     return "\n".join([header, *(f"{a!r},{re!r},{im!r}" for a, re, im in rows)]) + "\n"
 
 
-def _csv_parse(path: str, header: str, first_type) -> tuple[list, np.ndarray]:
-    lines = _read(path).strip().splitlines()
+def _csv_parse(path: str, kind: str, header: str, first_type) -> tuple[list, np.ndarray]:
+    lines = _read(path, kind).strip().splitlines()
     if not lines or lines[0].strip() != header:
         raise StorageError(f"{path}:1: expected header {header!r}")
     firsts, values = [], []
@@ -227,7 +199,7 @@ def _signal_to_text(obj) -> str:
 
 
 def _signal_from_file(path: str) -> np.ndarray:
-    index, values = _csv_parse(path, "index,re,im", int)
+    index, values = _csv_parse(path, "signal", "index,re,im", int)
     for i, idx in enumerate(index):
         if idx != i:
             raise StorageError(f"{path}:{i + 2}: index {idx} out of order")
@@ -235,56 +207,69 @@ def _signal_from_file(path: str) -> np.ndarray:
 
 
 def _samples_from_file(path: str) -> tuple[np.ndarray, np.ndarray]:
-    xs, values = _csv_parse(path, "x,re,im", float)
+    xs, values = _csv_parse(path, "samples", "x,re,im", float)
     return np.array(xs), values
 
 
-# reading, and the kind table
+# reading and writing JSON, and the kind table
 
-def _read(path: str) -> str:
+def _read(path: str, kind: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except FileNotFoundError:
         raise StorageError(f"{path}: no such file") from None
+    except UnicodeDecodeError as exc:
+        raise StorageError(f"{path}: {kind}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def read_json(path: str):
-    """Parse a JSON file with the same errors as `load`, before its kind is known."""
+def _read_json(path: str, kind: str):
+    text = _read(path, kind)
 
     def reject(token: str):
-        raise StorageError(f"{path}: non-finite number {token}")
+        raise ValueError(f"non-finite number {token}")
 
     try:
-        return json.loads(_read(path), parse_constant=reject)
+        return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
-        raise StorageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+        reason = f"invalid JSON at line {exc.lineno}: {exc.msg}"
+    except (ValueError, RecursionError) as exc:  # NaN/Infinity, an over-long integer, deep nesting
+        reason = str(exc)
+    raise StorageError(f"{path}: {kind}: {reason}")
 
 
-def _json_kind(cls: type, to_dict, from_dict) -> tuple:
-    def encode(obj) -> str:
-        try:
-            return json.dumps(to_dict(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
-        except ValueError:
-            raise StorageError("cannot store non-finite values") from None
+def _from_json(path: str, kind: str, from_dict, data):
+    try:
+        return from_dict(data)
+    except StorageError as exc:  # names its field, and so its kind, already
+        raise StorageError(f"{path}: {exc}") from None
+    except ValueError as exc:  # the value's constructor refused it
+        raise StorageError(f"{path}: {kind}: {exc}") from None
 
-    def decode(path: str):
-        data = read_json(path)
-        try:
-            return from_dict(data)
-        except StorageError as exc:
-            raise StorageError(f"{path}: {exc}") from None
 
-    return (cls,), encode, decode
+def json_text(data) -> str:
+    """The one JSON writer: one line, sorted keys, non-finite numbers refused."""
+    try:
+        return json.dumps(data, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise StorageError("cannot store non-finite values") from None
+
+
+def _json_kind(kind: str, cls: type, to_dict, from_dict) -> tuple:
+    return (
+        (cls,),
+        lambda obj: json_text(to_dict(obj)),
+        lambda path: _from_json(path, kind, from_dict, _read_json(path, kind)),
+    )
 
 
 # kind -> (the types it saves, value -> text, path -> value)
 _KIND_TABLE = {
-    "bank": _json_kind(FilterBank, bank_to_dict, bank_from_dict),
-    "loop": _json_kind(PolyLoop, loop_to_dict, loop_from_dict),
-    "spins": _json_kind(SpinFactorization, spins_to_dict, spins_from_dict),
+    "bank": _json_kind("bank", FilterBank, bank_to_dict, bank_from_dict),
+    "loop": _json_kind("loop", PolyLoop, loop_to_dict, loop_from_dict),
+    "spins": _json_kind("spins", SpinFactorization, spins_to_dict, spins_from_dict),
     "signal": ((np.ndarray, list, tuple), _signal_to_text, _signal_from_file),
-    "tree": _json_kind(CoeffTree, tree_to_dict, tree_from_dict),
+    "tree": _json_kind("tree", CoeffTree, tree_to_dict, tree_from_dict),
     "samples": (
         (SampledFunction,),
         lambda f: _csv_text("x,re,im", f.grid(), f.values),
@@ -327,3 +312,13 @@ def load(path: str, kind: str):
         raise StorageError(f"unknown kind {kind!r}; expected one of {KINDS}")
     _, _, decode = _KIND_TABLE[kind]
     return decode(path)
+
+
+def load_bank_or_loop(path: str):
+    """Read a bank or a loop JSON file, told apart by its 'filters' or 'coeffs' field."""
+    data = _read_json(path, "bank or loop")
+    if isinstance(data, dict) and "filters" in data:
+        return _from_json(path, "bank", bank_from_dict, data)
+    if isinstance(data, dict) and "coeffs" in data:
+        return _from_json(path, "loop", loop_from_dict, data)
+    raise StorageError(f"{path}: neither a bank nor a loop (no 'filters'/'coeffs' field)")

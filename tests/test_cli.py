@@ -152,3 +152,25 @@ def test_cascade_verb_with_wavelets(tmp_path):
     assert main(["cascade", str(bank), "--depth", "4", "-o", str(phi), "--wavelets", str(prefix)]) == 0
     xs, values = load(str(prefix) + "1.csv", "samples")
     assert values[0] == 1.0 and values[values.size // 2] == -1.0
+
+
+def test_cascade_writes_nothing_when_the_wavelets_fail(tmp_path):
+    bank = tmp_path / "db4.json"
+    save(preset_bank("db4"), str(bank))
+    out = tmp_path / "out"
+    out.mkdir()
+    args = ["cascade", str(bank), "--max-iters", "2", "--wavelets", str(out / "psi"), "-o", str(out / "phi.csv")]
+    assert main(args) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_errors_name_the_path_and_the_kind_once(tmp_path, capsys):
+    bad = tmp_path / "b.json"
+    bad.write_text('{"filters": [], "g": 1}')
+    assert main(["verify", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: bank: missing field 'N'\n"
+    assert main(["factor", str(bad), "-o", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: bank: missing field 'N'\n"
+    bad.write_bytes(b'\xff{"N": 2}')
+    assert main(["verify", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: bank: not UTF-8 text (invalid start byte at byte 0)\n"

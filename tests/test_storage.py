@@ -250,3 +250,38 @@ def test_atomic_write_removes_its_temp_file_on_failure(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         atomic_write(str(tmp_path / "out.json"), "text\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "taps",
+    [
+        [["1.0", "0"], [True, 0]],
+        [[1.0, 0.0], [True, 0.0]],
+        [[1.0, None], [1.0, 0.0]],
+        [[False, False], [True, True]],
+    ],
+)
+def test_pair_entries_must_be_json_numbers(tmp_path, taps):
+    path, data = _saved(tmp_path, preset_bank("haar"), "bank.json")
+    data["filters"][0]["taps"] = taps
+    path.write_text(json.dumps(data))
+    with pytest.raises(StorageError, match=r"filters\[0\]\.taps: \[re, im\] entries must be JSON numbers"):
+        load(str(path), "bank")
+    data["filters"][0]["taps"] = [[1, 0], [1, -0.0]]  # JSON integers are numbers
+    path.write_text(json.dumps(data))
+    assert np.array_equal(load(str(path), "bank").filters[0].taps, [1, 1])
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[" * 100_000 + "]" * 100_000, "recursion"),
+        ('{"N": 1' + "0" * 5000 + "}", "digits"),
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_json_past_the_parser_limits_is_a_storage_error(tmp_path, text, reason):
+    path = tmp_path / "bank.json"
+    path.write_text(text)
+    with pytest.raises(StorageError, match=f"bank.json: bank: .*{reason}"):
+        load(str(path), "bank")
