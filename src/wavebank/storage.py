@@ -104,12 +104,15 @@ def bank_from_dict(d: dict) -> FilterBank:
     normalized = meta.get("lowpass_normalized", True)
     if not isinstance(normalized, bool):
         raise StorageError(f"bank.meta.lowpass_normalized: expected true or false, got {normalized!r}")
+    name = meta.get("name", "")
+    if not isinstance(name, str):
+        raise StorageError(f"bank.meta.name: expected a string, got {name!r}")
     return FilterBank(
         _int(d, "N", "bank"),
         _int(d, "g", "bank"),
         tuple(filters),
         lowpass_normalized=normalized,
-        name=str(meta.get("name", "")),
+        name=name,
     )
 
 
@@ -219,6 +222,8 @@ def _read(path: str, kind: str) -> str:
             return fh.read()
     except FileNotFoundError:
         raise StorageError(f"{path}: no such file") from None
+    except OSError as exc:  # a directory, no permission, an I/O error
+        raise StorageError(f"{path}: {kind}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise StorageError(f"{path}: {kind}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
@@ -299,9 +304,12 @@ def atomic_write(path: str, text: str) -> None:
 
 def save(obj, path: str) -> None:
     """Write a value in the format of its kind (dispatch on type)."""
-    for types, encode, _ in _KIND_TABLE.values():
+    for kind, (types, encode, _) in _KIND_TABLE.items():
         if isinstance(obj, types):
-            atomic_write(path, encode(obj))
+            try:
+                atomic_write(path, encode(obj))
+            except OSError as exc:  # reported with the user's path, not the temporary one
+                raise StorageError(f"{path}: {kind}: cannot write: {exc.strerror or exc}") from None
             return
     raise StorageError(f"no storage kind for object of type {type(obj).__name__}")
 

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -174,3 +176,26 @@ def test_errors_name_the_path_and_the_kind_once(tmp_path, capsys):
     bad.write_bytes(b'\xff{"N": 2}')
     assert main(["verify", str(bad)]) == 2
     assert capsys.readouterr().err == f"error: {bad}: bank: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+def test_os_errors_name_the_path_and_the_kind(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("d.json")
+    assert main(["verify", "d.json"]) == 2
+    assert capsys.readouterr().err == f"error: d.json: bank: cannot read: {os.strerror(errno.EISDIR)}\n"
+    assert main(["design", "--preset", "haar", "-o", "nodir/b.json"]) == 2
+    assert capsys.readouterr().err == f"error: nodir/b.json: bank: cannot write: {os.strerror(errno.ENOENT)}\n"
+    assert os.listdir(".") == ["d.json"]
+
+
+def test_too_many_levels_exit_2_before_computing(tmp_path, capsys):
+    bank, sig = tmp_path / "haar.json", tmp_path / "s.csv"
+    save(preset_bank("haar"), str(bank))
+    save(np.ones(16), str(sig))
+    out = tmp_path / "t.json"
+    assert main(["transform-analyze", str(sig), "--bank", str(bank), "--levels", "100000", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: levels = 100000 is too many: at most 4, "
+        "since 2^4 is the largest power of 2 dividing the signal length 16\n"
+    )
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -285,3 +286,31 @@ def test_json_past_the_parser_limits_is_a_storage_error(tmp_path, text, reason):
     path.write_text(text)
     with pytest.raises(StorageError, match=f"bank.json: bank: .*{reason}"):
         load(str(path), "bank")
+
+
+@pytest.mark.parametrize("name", [[1, {"a": None}], 7, None, True])
+def test_bank_name_must_be_a_json_string(tmp_path, name):
+    path, data = _saved(tmp_path, preset_bank("haar"), "bank.json")
+    data["meta"]["name"] = name
+    path.write_text(json.dumps(data))
+    with pytest.raises(StorageError, match=r"bank\.meta\.name: expected a string"):
+        load(str(path), "bank")
+    del data["meta"]["name"]
+    path.write_text(json.dumps(data))
+    assert load(str(path), "bank").name == ""
+
+
+def test_os_errors_name_the_user_path_and_the_kind(tmp_path):
+    folder = tmp_path / "d.json"
+    folder.mkdir()
+    reason = os.strerror(errno.EISDIR)
+    with pytest.raises(StorageError, match=re.escape(f"{folder}: bank: cannot read: {reason}")):
+        load(str(folder), "bank")
+    target = tmp_path / "nodir" / "b.json"
+    reason = os.strerror(errno.ENOENT)
+    with pytest.raises(StorageError, match=re.escape(f"{target}: bank: cannot write: {reason}")):
+        save(preset_bank("haar"), str(target))
+    with pytest.raises(StorageError, match=re.escape(f"{folder}: signal: cannot write: ")):
+        save(np.ones(4), str(folder))
+    assert list(folder.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json"]

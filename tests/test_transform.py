@@ -15,6 +15,8 @@ from wavebank import (
     preset_bank,
     synthesize,
 )
+from wavebank.loops import _polyphase_stack
+from wavebank.transform import _BLOCK
 
 SQRT2 = math.sqrt(2.0)
 
@@ -237,3 +239,88 @@ def test_taps_below_the_loop_prune_threshold_are_kept():
     assert np.abs(tree.details[0][0] - ops[1].conj().T @ x).max() <= 1e-14
     back = synthesize(tree, bank)
     assert np.abs(back - (ops[0] @ tree.approx + ops[1] @ tree.details[0][0])).max() <= 1e-14
+
+
+def test_levels_are_bounded_before_any_power_is_formed():
+    # 2**100000 has 30103 digits: formatting it in an error message would fail
+    with pytest.raises(ValueError, match=r"levels = 100000 is too many: at most 4, since 2\^4 "):
+        analyze(np.ones(16), preset_bank("haar"), 100000)
+    with pytest.raises(ValueError, match="at most 1"):
+        analyze(np.ones(6), preset_bank("haar"), 2)
+
+
+# The whole-row kernel the blocked one replaced, kept as the reference: every
+# term streams a full row.  The blocked kernel must return the same bits.
+
+
+def _unblocked_analyze(x, bank, levels):
+    N = bank.N
+    A = _polyphase_stack(bank).conj()
+    details = []
+    cur = np.asarray(x, dtype=np.complex128)
+    for _ in range(levels):
+        M = cur.size // N
+        X = np.take(cur.reshape(M, N).T, np.arange(M + len(A) - 1), axis=1, mode="wrap")
+        out = [np.zeros(M, dtype=np.complex128) for _ in range(N)]
+        for d, j, r in np.ndindex(A.shape):
+            out[j] += A[d, j, r] * X[r, d : d + M]
+        cur, *channels = out
+        details.append(tuple(channels))
+    return CoeffTree(N, levels, cur, tuple(details))
+
+
+def _unblocked_synthesize(tree, bank):
+    A = _polyphase_stack(bank)
+    cur = tree.approx
+    for channels in reversed(tree.details):
+        c, M = (cur, *channels), cur.size
+        Y = np.zeros((bank.N, M + len(A) - 1), dtype=np.complex128)
+        for d, j, r in np.ndindex(A.shape):
+            Y[r, d : d + M] += A[d, j, r] * c[j]
+        for s in range(M, Y.shape[1], M):
+            n = min(M, Y.shape[1] - s)
+            Y[:, :n] += Y[:, s : s + n]
+        cur = Y[:, :M].T.reshape(-1)
+    return cur
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "N, k, levels, c",
+    [
+        (2, 1, 12, 20),  # level 1 spans 2.5 blocks; the last stage is 20 long
+        (2, 16, 12, 20),  # ... and shorter than the tap span 34
+        (2, 16, 12, 16),  # level 1 is exactly 2 blocks
+        (3, 1, 8, 18),
+        (3, 8, 8, 18),  # last stage 18 against the span 27
+        (4, 1, 7, 10),
+        (4, 4, 7, 10),  # last stage 10 against the span 20
+        (2, 8, 5, 1),  # every stage within one block, the last ones wrapping
+        (3, 5, 3, 1),
+    ],
+)
+def test_blocked_kernel_matches_the_whole_row_kernel_bit_for_bit(N, k, levels, c):
+    rng = np.random.default_rng(100 * N + k)
+    bank = random_spin_bank(rng, N, k)
+    L = N**levels * c
+    assert L // N >= 2 * _BLOCK or L // N < _BLOCK  # several blocks, or within one
+    x = random_signal(rng, L)
+    tree = analyze(x, bank, levels)
+    want = _unblocked_analyze(x, bank, levels)
+    got_channels = [tree.approx, *(ch for level in tree.details for ch in level)]
+    want_channels = [want.approx, *(ch for level in want.details for ch in level)]
+    assert len(got_channels) == len(want_channels)
+    for got, ref in zip(got_channels, want_channels):
+        assert np.array_equal(_bits(got), _bits(ref))
+    assert np.array_equal(_bits(synthesize(tree, bank)), _bits(_unblocked_synthesize(want, bank)))
+
+
+def test_constant_signal_over_many_blocks_has_no_details():
+    tree = analyze(np.ones(2**17), preset_bank("haar"), 10)
+    assert tree.details[0][0].size == 4 * _BLOCK
+    for level in tree.details:
+        for channel in level:
+            assert np.abs(channel).max() == 0.0
