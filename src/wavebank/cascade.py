@@ -21,6 +21,7 @@ from .filters import FilterBank, FilterCoeffs, normalization_check, orthogonalit
 
 __all__ = [
     "CASCADE_TOL",
+    "CASCADE_MAX_SAMPLES",
     "SampledFunction",
     "CascadeResult",
     "GramReport",
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 CASCADE_TOL = 1e-9
+# The largest cascade grid, in samples: one complex array of this length
+# takes 64 MiB, and an iteration holds a few of them.
+CASCADE_MAX_SAMPLES = 2**22
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +152,17 @@ def cascade_iterate(
     """
     if depth < 1:
         raise ValueError("grid depth must be at least 1")
+    N, g = bank.N, bank.g
+    # the grid holds (N g - 1) N^depth / (N - 1) + 1 samples: find the deepest
+    # grid within the limit before any N**depth is formed
+    most, unit = 0, 1
+    while ((N * g - 1) * unit * N) // (N - 1) + 1 <= CASCADE_MAX_SAMPLES:
+        most, unit = most + 1, unit * N
+    if depth > most:
+        raise ValueError(
+            f"depth = {depth} is too deep: at most {most} for N = {N}, g = {g}, "
+            f"since the grid holds at most {CASCADE_MAX_SAMPLES} samples"
+        )
     if not orthogonality_check(bank.lowpass, bank.N).passed:
         raise ValueError("cascade requires a low-pass passing translate orthonormality")
     if not normalization_check(bank.lowpass, bank.N).passed:
@@ -155,7 +170,6 @@ def cascade_iterate(
             "low-pass is not DC-normalized; cascade runs but does not preserve the mean",
             stacklevel=2,
         )
-    N, g = bank.N, bank.g
     unit = N**depth
     hi = ((N * g - 1) * unit) // (N - 1)
     values = np.zeros(hi + 1, dtype=np.complex128)

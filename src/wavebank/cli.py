@@ -140,7 +140,7 @@ def _cmd_irreducibility(args) -> int:
     text = storage.json_text(report)
     print(text, end="")
     if args.output:
-        storage.atomic_write(args.output, text)
+        storage.save_report(report, args.output)
         print(f"wrote {args.output}")
 
     if args.detector == "both":
@@ -212,7 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cascade", help="compute the scaling function samples")
     p.add_argument("bank")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument(
+        "--depth", type=int, default=8,
+        help=f"grid step N^-depth (the grid may hold at most {casc.CASCADE_MAX_SAMPLES} samples)",
+    )
     p.add_argument("--max-iters", type=int, default=60)
     p.add_argument("--tol", type=float, default=casc.CASCADE_TOL)
     p.add_argument("--wavelets", help="also write detail functions to PREFIX<j>.csv")
@@ -235,7 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("irreducibility", help="decide reducibility of the bank's operator system")
     p.add_argument("bank")
     p.add_argument("--detector", choices=("corner", "halfline", "both"), default="corner")
-    p.add_argument("--window", type=int, default=0, help="half-line probe window (default max(32, N*g))")
+    p.add_argument(
+        "--window", type=int, default=0,
+        help=f"half-line probe window (default max(32, N*g), at most {cuntz.PROBE_MAX_WINDOW})",
+    )
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_irreducibility)
 

@@ -29,6 +29,7 @@ __all__ = [
     "CUNTZ_TOL",
     "LADDER_TOL",
     "PROBE_TOL",
+    "PROBE_MAX_WINDOW",
     "CuntzSystem",
     "CuntzReport",
     "SubbandLadder",
@@ -45,6 +46,9 @@ __all__ = [
 CUNTZ_TOL = 1e-12
 LADDER_TOL = 1e-10
 PROBE_TOL = 1e-10
+# The largest half-line probe window K: the probe holds dense complex
+# (2K+1)^2 matrices, two of 268 MB each at this K.
+PROBE_MAX_WINDOW = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,6 +272,11 @@ def invariant_subspace_probe(bank: FilterBank, K: int, tol: float = PROBE_TOL) -
     span = max(f.span for f in bank.filters)
     if K < span:
         raise ValueError(f"window K = {K} must be at least the tap span {span}")
+    if K > PROBE_MAX_WINDOW:
+        raise ValueError(
+            f"window K = {K} is too large: at most {PROBE_MAX_WINDOW}, "
+            "since the probe holds dense (2K+1)^2 matrices"
+        )
     size = 2 * K + 1
     k_idx = np.arange(-K, K + 1)
     residual = 0.0

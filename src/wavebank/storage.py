@@ -25,7 +25,7 @@ from .filters import FilterBank, FilterCoeffs
 from .loops import PolyLoop, SpinFactorization
 from .transform import CoeffTree
 
-__all__ = ["StorageError", "KINDS", "save", "load", "atomic_write"]
+__all__ = ["StorageError", "KINDS", "save", "save_report", "load", "atomic_write"]
 
 class StorageError(ValueError):
     """A file does not match the schema for its kind."""
@@ -302,16 +302,25 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _write(path: str, kind: str, text: str) -> None:
+    try:
+        atomic_write(path, text)
+    except OSError as exc:  # reported with the user's path, not the temporary one
+        raise StorageError(f"{path}: {kind}: cannot write: {exc.strerror or exc}") from None
+
+
 def save(obj, path: str) -> None:
     """Write a value in the format of its kind (dispatch on type)."""
     for kind, (types, encode, _) in _KIND_TABLE.items():
         if isinstance(obj, types):
-            try:
-                atomic_write(path, encode(obj))
-            except OSError as exc:  # reported with the user's path, not the temporary one
-                raise StorageError(f"{path}: {kind}: cannot write: {exc.strerror or exc}") from None
+            _write(path, kind, encode(obj))
             return
     raise StorageError(f"no storage kind for object of type {type(obj).__name__}")
+
+
+def save_report(report: dict, path: str) -> None:
+    """Write a run report, a JSON object, the way `save` writes a value."""
+    _write(path, "report", json_text(report))
 
 
 def load(path: str, kind: str):

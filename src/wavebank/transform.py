@@ -7,6 +7,15 @@ the coarse channel is split again at the next level.  Both directions run on
 the bank's polyphase coefficients ``A_d``, computing all N channels of a
 level at once.  Orthogonality of the bank makes the whole map unitary, so
 reconstruction and the energy balance are exact to rounding.
+
+A level reads its input once and writes its output once, one block of
+``_BLOCK`` columns at a time: analysis gathers the N phase rows of a block,
+extended cyclically, into a small buffer; synthesis sums a block in a small
+buffer and writes it interleaved into the output, and its last block also
+sums the few columns past the period, which are then added onto the first
+ones.  Beyond the output and the level's input, the working memory is
+O(N * _BLOCK).  Every output element receives the same rounded products in
+the same order as a whole-row loop over the terms.
 """
 
 from __future__ import annotations
@@ -71,28 +80,26 @@ class CoeffTree:
 _BLOCK = 2**14
 
 
-def _accumulate(terms, width: int, tmp: np.ndarray) -> None:
-    """``dst[t] += a * src[t + shift]`` for every term ``(a, dst, src, shift)``.
+def _accumulate(terms, dst, src, base: int, width: int, tmp: np.ndarray) -> None:
+    """``dst[i][t] += a * src[k][t + base + s]`` for every term ``(a, i, k, s)``.
 
-    ``t`` runs over ``[0, width)`` wherever both indices are in range, one
-    block of ``_BLOCK`` columns at a time, and within a block term by term.
-    So every element receives its rounded products in the order of
-    ``terms``, exactly as a whole-row loop over the terms would add them.
-    An elementwise multiply-add, not a matmul, keeps exact cancellations
-    (a constant signal's Haar details) exactly zero; the scalar comes first
-    because ``np.multiply`` can round ``x * a`` and ``a * x`` differently
-    for complex operands.
+    ``t`` runs over ``[0, width)`` wherever the source index is in range,
+    term by term, so every element receives its rounded products in the
+    order of ``terms``, exactly as a whole-row loop over the terms would add
+    them.  An elementwise multiply-add, not a matmul, keeps exact
+    cancellations (a constant signal's Haar details) exactly zero; the
+    scalar comes first because ``np.multiply`` can round ``x * a`` and
+    ``a * x`` differently for complex operands.
     """
-    for t0 in range(0, width, _BLOCK):
-        t1 = min(t0 + _BLOCK, width)
-        for a, dst, src, shift in terms:
-            # this runs once per term and block, so the bounds avoid calls
-            lo = -shift if t0 < -shift else t0
-            hi = src.size - shift if src.size - shift < t1 else t1
-            if lo < hi:
-                out, prod = dst[lo:hi], tmp[: hi - lo]
-                np.multiply(a, src[lo + shift : hi + shift], prod)
-                np.add(out, prod, out)
+    for a, i, k, s in terms:
+        # this runs once per term and block, so the bounds avoid calls
+        row, shift = src[k], base + s
+        lo = -shift if shift < 0 else 0
+        hi = row.size - shift if row.size - shift < width else width
+        if lo < hi:
+            out, prod = dst[i][lo:hi], tmp[: hi - lo]
+            np.multiply(a, row[lo + shift : hi + shift], prod)
+            np.add(out, prod, out)
 
 
 def analyze(signal, bank: FilterBank, levels: int) -> CoeffTree:
@@ -120,18 +127,27 @@ def analyze(signal, bank: FilterBank, levels: int) -> CoeffTree:
     if x.size < N * bank.g:
         raise ValueError(f"signal length {x.size} is shorter than the bank span {N * bank.g}")
     A = _polyphase_stack(bank).conj()
-    terms = [(A[i], *i) for i in np.ndindex(A.shape)]
+    D = len(A)
+    terms = [(A[d, j, r], j, r, d) for d, j, r in np.ndindex(A.shape)]
+    buf = np.empty((N, _BLOCK + D - 1), dtype=np.complex128)
+    rows = list(buf)
     tmp = np.empty(_BLOCK, dtype=np.complex128)
     details = []
     cur = x
     for _ in range(levels):
-        # c_j[l] = sum_{d,r} conj(A_d[j, r]) x[N(l + d) + r] over phase-major
-        # blocks of the signal extended cyclically by len(A) - 1 blocks, which
-        # wraps several times when a stage is shorter than the tap span.
+        # c_j[l] = sum_{d,r} conj(A_d[j, r]) x[N(l + d) + r].  The outputs
+        # [t0, t0 + w) read the phase rows x[N l + r] at l = t0 .. t0 + w + D - 2
+        # taken cyclically, gathered into buf one period copy at a time, so a
+        # stage shorter than the tap span wraps several times.
         M = cur.size // N
-        X = np.take(cur.reshape(M, N).T, np.arange(M + len(A) - 1), axis=1, mode="wrap")
+        phases = cur.reshape(M, N).T
         out = [np.zeros(M, dtype=np.complex128) for _ in range(N)]
-        _accumulate([(a, out[j], X[r], d) for a, d, j, r in terms], M, tmp)
+        for t0 in range(0, M, _BLOCK):
+            w = min(_BLOCK, M - t0)
+            for p in range(-t0, w + D - 1, M):  # buf column of phase column 0
+                lo, hi = max(p, 0), min(p + M, w + D - 1)
+                buf[:, lo:hi] = phases[:, lo - p : hi - p]
+            _accumulate(terms, [o[t0 : t0 + w] for o in out], rows, 0, w, tmp)
         cur, *channels = out
         details.append(tuple(channels))
     return CoeffTree(N, levels, cur, tuple(details))
@@ -144,19 +160,28 @@ def synthesize(tree: CoeffTree, bank: FilterBank) -> np.ndarray:
     if tree.signal_length < bank.N * bank.g:
         raise ValueError("tree is too short for this bank's tap span")
     A = _polyphase_stack(bank)
-    terms = [(A[i], *i) for i in np.ndindex(A.shape)]
-    tmp = np.empty(_BLOCK, dtype=np.complex128)
+    N, D = bank.N, len(A)
+    terms = [(A[d, j, r], r, j, -d) for d, j, r in np.ndindex(A.shape)]
+    buf = np.empty((N, _BLOCK + D - 1), dtype=np.complex128)
+    tmp = np.empty(_BLOCK + D - 1, dtype=np.complex128)
     cur = tree.approx
     for channels in reversed(tree.details):
-        # the adjoint of one analysis level, Y[r, l + d] += A_d[j, r] c_j[l],
-        # folded back onto the period
+        # the adjoint of one analysis level, y[N(l + d) + r] += A_d[j, r] c_j[l],
+        # summed on the phase rows l + d block by block.  The last block also
+        # sums the D - 1 columns past the period, which then fold back onto
+        # l mod M in the order l = M, 2M, ... once the whole period is written.
         c, M = (cur, *channels), cur.size
-        Y = np.zeros((bank.N, M + len(A) - 1), dtype=np.complex128)
-        _accumulate([(a, Y[r], c[j], -d) for a, d, j, r in terms], Y.shape[1], tmp)
-        for s in range(M, Y.shape[1], M):
-            n = min(M, Y.shape[1] - s)
-            Y[:, :n] += Y[:, s : s + n]
-        cur = Y[:, :M].T.reshape(-1)
+        out = np.empty((M, N), dtype=np.complex128)
+        for t0 in range(0, M, _BLOCK):
+            w = min(_BLOCK, M - t0)
+            block = buf[:, : w + D - 1 if t0 + w == M else w]
+            block.fill(0)
+            _accumulate(terms, list(block), c, t0, block.shape[1], tmp)
+            out[t0 : t0 + w] = block[:, :w].T
+        for s in range(M, M + D - 1, M):  # block and w are the last block's
+            n = min(M, M + D - 1 - s)
+            out[:n] += block[:, w + s - M : w + s - M + n].T
+        cur = out.reshape(-1)
     return cur
 
 

@@ -276,3 +276,11 @@ def test_dilate_roundtrip_scaling():
     assert up.depth == 3
     assert up.support == (0.0, 2.0)
     assert np.allclose(up.values * SQRT2, phi.values, atol=1e-15)
+
+
+def test_depth_is_bounded_before_any_power_is_formed():
+    # numpy cannot allocate these grids; the depth is refused by integer arithmetic first
+    with pytest.raises(ValueError, match=r"depth = 1000 is too deep: at most 20 for N = 2, g = 2, "):
+        cascade_iterate(preset_bank("db4"), depth=1000)
+    with pytest.raises(ValueError, match=r"at most 13 for N = 3, g = 1, since the grid holds at most 4194304 "):
+        cascade_iterate(tribank(), depth=10**6)

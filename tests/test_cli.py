@@ -199,3 +199,27 @@ def test_too_many_levels_exit_2_before_computing(tmp_path, capsys):
         "since 2^4 is the largest power of 2 dividing the signal length 16\n"
     )
     assert not out.exists()
+
+
+def test_irreducibility_report_write_errors_name_the_path_and_the_kind(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save(preset_bank("haar"), "haar.json")
+    assert main(["irreducibility", "haar.json", "-o", "nodir/r.json"]) == 2
+    assert capsys.readouterr().err == f"error: nodir/r.json: report: cannot write: {os.strerror(errno.ENOENT)}\n"
+    assert os.listdir(".") == ["haar.json"]
+
+
+def test_window_and_depth_are_bounded_before_allocating(tmp_path, capsys):
+    bank = tmp_path / "haar.json"
+    save(preset_bank("haar"), str(bank))
+    args = ["irreducibility", str(bank), "--detector", "halfline", "--window", "100000000"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: window K = 100000000 is too large: at most 2048, since the probe holds dense (2K+1)^2 matrices\n"
+    )
+    out = tmp_path / "phi.csv"
+    assert main(["cascade", str(bank), "--depth", "1000", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: depth = 1000 is too deep: at most 21 for N = 2, g = 1, since the grid holds at most 4194304 samples\n"
+    )
+    assert not out.exists()

@@ -220,6 +220,12 @@ def test_probe_window_validation():
         invariant_subspace_probe(preset_bank("db4"), 3)
 
 
+def test_probe_window_is_bounded_before_allocating():
+    # numpy cannot allocate the dense matrices of this window
+    with pytest.raises(ValueError, match=r"window K = 100000000 is too large: at most 2048, "):
+        invariant_subspace_probe(preset_bank("haar"), 100_000_000)
+
+
 def test_probe_stretched_haar_leaks_despite_reducibility():
     # The half-line family only captures the box-type case: the stretched bank
     # is reducible (full monomial corner) but its reducing subspaces are not

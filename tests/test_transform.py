@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,3 +325,58 @@ def test_constant_signal_over_many_blocks_has_no_details():
     for level in tree.details:
         for channel in level:
             assert np.abs(channel).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "N, k, levels, c",
+    [
+        (2, 1, 12, 20),  # level 1 spans 2.5 blocks
+        (2, 8, 5, 1),  # the last stages wrap several times
+        (3, 1, 8, 18),
+        (3, 5, 3, 1),
+    ],
+)
+def test_signed_zeros_match_the_whole_row_kernel_bit_for_bit(N, k, levels, c):
+    # A sum of signed zeros is -0 only when every term is -0 and it does not
+    # start from +0, so the zero-filled buffers and the order of the period
+    # fold show in the sign bits; one nonzero sample spreads over all levels.
+    # Analysis outputs start from +0, so synthesis also runs on a one-level
+    # tree cut straight from the signal.
+    rng = np.random.default_rng(200 * N + k)
+    bank = random_spin_bank(rng, N, k)
+    L = N**levels * c
+    x = rng.choice([0.0, -0.0], size=(L, 2)).view(np.complex128)[:, 0]
+    x[L // 3] = 1.5 - 0.25j
+    tree = analyze(x, bank, levels)
+    want = _unblocked_analyze(x, bank, levels)
+    for got, ref in zip(
+        [tree.approx, *(ch for level in tree.details for ch in level)],
+        [want.approx, *(ch for level in want.details for ch in level)],
+    ):
+        assert np.array_equal(_bits(got), _bits(ref))
+    assert np.array_equal(_bits(synthesize(tree, bank)), _bits(_unblocked_synthesize(want, bank)))
+    approx, *channels = np.split(x, N)
+    zeros = CoeffTree(N, 1, approx, (tuple(channels),))
+    assert np.array_equal(_bits(synthesize(zeros, bank)), _bits(_unblocked_synthesize(zeros, bank)))
+
+
+def test_a_level_works_in_its_output_plus_a_few_blocks():
+    # One level holds its input stage and its output; beyond those the
+    # transform may use a few blocks of working space, not level-sized copies.
+    rng = np.random.default_rng(14)
+    bank = random_spin_bank(rng, 2, 8)
+    assert bank.g == 9
+    x = random_signal(rng, 2**18)
+    bound = x.nbytes + x.nbytes // 2 + 4 * 2 * _BLOCK * 16  # output, the first coarse stage, 4 blocks
+    tracemalloc.start()
+    try:
+        tree = analyze(x, bank, 10)
+        analysis_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        synthesize(tree, bank)
+        synthesis_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert analysis_peak < bound
+    assert synthesis_peak < bound
