@@ -109,8 +109,14 @@ def _cmd_synth(args) -> int:
 
 def _cmd_irreducibility(args) -> int:
     bank = storage.load(args.bank, "bank")
+    span = bank.N * bank.g
+    if args.detector != "corner" and not args.window and span > cuntz.PROBE_MAX_WINDOW:
+        raise ValueError(
+            f"the bank's tap span N*g = {span} exceeds the half-line probe's largest window "
+            f"{cuntz.PROBE_MAX_WINDOW}, so it cannot be probed; use --detector corner"
+        )
     loop = loops.filters_to_loop(bank)
-    window = args.window if args.window else max(32, bank.N * bank.g)
+    window = args.window if args.window else max(32, span)
 
     corner = cuntz.detect_monomial_corner(loop) if args.detector in ("corner", "both") else None
     probe = (

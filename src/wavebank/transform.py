@@ -13,13 +13,23 @@ A level reads its input once and writes its output once, one block of
 extended cyclically, into a small buffer; synthesis sums a block in a small
 buffer and writes it interleaved into the output, and its last block also
 sums the few columns past the period, which are then added onto the first
-ones.  Beyond the output and the level's input, the working memory is
-O(N * _BLOCK).  Every output element receives the same rounded products in
-the same order as a whole-row loop over the terms.
+ones.  Every output element receives the same rounded products in the same
+order as a whole-row loop over the terms.
+
+A level's blocks are independent, and numpy releases the interpreter lock
+inside every multiply-add.  So when the process may use more than one CPU,
+a level of two or more blocks is split at a block boundary: the caller runs
+the first half and one helper thread, started on first use and shared by
+every call, runs the second; synthesis folds the period once both are done.
+Each half owns its buffers, so the results are the same bits on any CPU
+count, and beyond the output and the level's input the working memory is
+two sets of O(N * _BLOCK) buffers.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +112,116 @@ def _accumulate(terms, dst, src, base: int, width: int, tmp: np.ndarray) -> None
             np.add(out, prod, out)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_helper_jobs = None  # the helper's job queue, made with the helper on first use
+_helper_lock = threading.Lock()
+
+
+def _helper():
+    global _helper_jobs
+    with _helper_lock:
+        if _helper_jobs is None:
+            import queue  # here, so that calls that never split import nothing
+
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="wavebank-transform", daemon=True).start()
+            _helper_jobs = jobs
+        return _helper_jobs
+
+
+def _forget_helper() -> None:
+    global _helper_jobs, _helper_lock
+    _helper_jobs, _helper_lock = None, threading.Lock()  # a forked child has no helper
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _serve(jobs) -> None:
+    """The helper: run each ``(work, args, reply)`` and reply None or the exception."""
+    while True:
+        work, args, reply = jobs.get()
+        err = None
+        try:
+            work(*args)
+        except BaseException as exc:  # raised again in the caller
+            err = exc
+        work = args = None  # the caller may drop the level's arrays once replied to
+        reply.put(err)
+        err = reply = None
+
+
+class _Halves:
+    """One call's runner of level blocks: its two buffer sets and its reply queue."""
+
+    def __init__(self, N: int, D: int):
+        self._shape = (N, _BLOCK + D - 1)
+        self._sets = [self._scratch()]
+        self._split = _usable_cpus() > 1
+        self._reply = None
+
+    def _scratch(self):
+        return np.empty(self._shape, dtype=np.complex128), np.empty(self._shape[1], dtype=np.complex128)
+
+    def run(self, work, terms, src, dst, M: int) -> np.ndarray:
+        """``work(terms, src, dst, start, stop, buf, tmp)`` over the blocks of ``[0, M)``.
+
+        The blocks past the middle run on the helper, with their own buffers,
+        and this returns once both halves are done, giving the block buffer
+        that summed the last block.
+        """
+        if not self._split or M <= _BLOCK:
+            work(terms, src, dst, 0, M, *self._sets[0])
+            return self._sets[0][0]
+        if self._reply is None:
+            import queue
+
+            self._sets.append(self._scratch())
+            self._reply = queue.SimpleQueue()
+        mid = _BLOCK * ((M + _BLOCK) // (2 * _BLOCK))  # 1 <= blocks before it < all blocks
+        _helper().put((work, (terms, src, dst, mid, M, *self._sets[1]), self._reply))
+        try:
+            work(terms, src, dst, 0, mid, *self._sets[0])
+        finally:
+            err = self._reply.get()  # the helper writes into dst until it replies
+        if err is not None:
+            raise err
+        return self._sets[1][0]
+
+
+def _analysis_blocks(terms, phases, out, start: int, stop: int, buf, tmp) -> None:
+    # c_j[l] = sum_{d,r} conj(A_d[j, r]) x[N(l + d) + r].  The outputs
+    # [t0, t0 + w) read the phase rows x[N l + r] at l = t0 .. t0 + w + D - 2
+    # taken cyclically, gathered into buf one period copy at a time, so a
+    # stage shorter than the tap span wraps several times.
+    M, past, rows = phases.shape[1], buf.shape[1] - _BLOCK, list(buf)
+    for t0 in range(start, stop, _BLOCK):
+        w = min(_BLOCK, stop - t0)
+        for p in range(-t0, w + past, M):  # buf column of phase column 0
+            lo, hi = max(p, 0), min(p + M, w + past)
+            buf[:, lo:hi] = phases[:, lo - p : hi - p]
+        _accumulate(terms, [o[t0 : t0 + w] for o in out], rows, 0, w, tmp)
+
+
+def _synthesis_blocks(terms, c, out, start: int, stop: int, buf, tmp) -> None:
+    # the adjoint of one analysis level, y[N(l + d) + r] += A_d[j, r] c_j[l],
+    # summed on the phase rows l + d block by block.  The last block also
+    # sums the D - 1 columns past the period, left in buf for the fold.
+    M, past = c[0].size, buf.shape[1] - _BLOCK
+    for t0 in range(start, stop, _BLOCK):
+        w = min(_BLOCK, stop - t0)
+        block = buf[:, : w + past if t0 + w == M else w]
+        block.fill(0)
+        _accumulate(terms, list(block), c, t0, block.shape[1], tmp)
+        out[t0 : t0 + w] = block[:, :w].T
+
+
 def analyze(signal, bank: FilterBank, levels: int) -> CoeffTree:
     """Split a circular signal into ``levels`` rounds of subband coefficients.
 
@@ -127,27 +247,14 @@ def analyze(signal, bank: FilterBank, levels: int) -> CoeffTree:
     if x.size < N * bank.g:
         raise ValueError(f"signal length {x.size} is shorter than the bank span {N * bank.g}")
     A = _polyphase_stack(bank).conj()
-    D = len(A)
     terms = [(A[d, j, r], j, r, d) for d, j, r in np.ndindex(A.shape)]
-    buf = np.empty((N, _BLOCK + D - 1), dtype=np.complex128)
-    rows = list(buf)
-    tmp = np.empty(_BLOCK, dtype=np.complex128)
+    halves = _Halves(N, len(A))
     details = []
     cur = x
     for _ in range(levels):
-        # c_j[l] = sum_{d,r} conj(A_d[j, r]) x[N(l + d) + r].  The outputs
-        # [t0, t0 + w) read the phase rows x[N l + r] at l = t0 .. t0 + w + D - 2
-        # taken cyclically, gathered into buf one period copy at a time, so a
-        # stage shorter than the tap span wraps several times.
         M = cur.size // N
-        phases = cur.reshape(M, N).T
         out = [np.zeros(M, dtype=np.complex128) for _ in range(N)]
-        for t0 in range(0, M, _BLOCK):
-            w = min(_BLOCK, M - t0)
-            for p in range(-t0, w + D - 1, M):  # buf column of phase column 0
-                lo, hi = max(p, 0), min(p + M, w + D - 1)
-                buf[:, lo:hi] = phases[:, lo - p : hi - p]
-            _accumulate(terms, [o[t0 : t0 + w] for o in out], rows, 0, w, tmp)
+        halves.run(_analysis_blocks, terms, cur.reshape(M, N).T, out, M)
         cur, *channels = out
         details.append(tuple(channels))
     return CoeffTree(N, levels, cur, tuple(details))
@@ -162,25 +269,18 @@ def synthesize(tree: CoeffTree, bank: FilterBank) -> np.ndarray:
     A = _polyphase_stack(bank)
     N, D = bank.N, len(A)
     terms = [(A[d, j, r], r, j, -d) for d, j, r in np.ndindex(A.shape)]
-    buf = np.empty((N, _BLOCK + D - 1), dtype=np.complex128)
-    tmp = np.empty(_BLOCK + D - 1, dtype=np.complex128)
+    halves = _Halves(N, D)
     cur = tree.approx
     for channels in reversed(tree.details):
-        # the adjoint of one analysis level, y[N(l + d) + r] += A_d[j, r] c_j[l],
-        # summed on the phase rows l + d block by block.  The last block also
-        # sums the D - 1 columns past the period, which then fold back onto
-        # l mod M in the order l = M, 2M, ... once the whole period is written.
-        c, M = (cur, *channels), cur.size
+        M = cur.size
         out = np.empty((M, N), dtype=np.complex128)
-        for t0 in range(0, M, _BLOCK):
-            w = min(_BLOCK, M - t0)
-            block = buf[:, : w + D - 1 if t0 + w == M else w]
-            block.fill(0)
-            _accumulate(terms, list(block), c, t0, block.shape[1], tmp)
-            out[t0 : t0 + w] = block[:, :w].T
-        for s in range(M, M + D - 1, M):  # block and w are the last block's
+        last = halves.run(_synthesis_blocks, terms, (cur, *channels), out, M)
+        # once the whole period is written, the D - 1 columns past it fold
+        # back onto l mod M in the order l = M, 2M, ...
+        w = M - (M - 1) // _BLOCK * _BLOCK  # the last block's width
+        for s in range(M, M + D - 1, M):
             n = min(M, M + D - 1 - s)
-            out[:n] += block[:, w + s - M : w + s - M + n].T
+            out[:n] += last[:, w + s - M : w + s - M + n].T
         cur = out.reshape(-1)
     return cur
 

@@ -1,6 +1,13 @@
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOLS / "bench_pairs.py")
@@ -55,3 +62,37 @@ def test_pairs_alternate_sides_and_copy_each_record(tmp_path):
 
 def test_seed_ranges():
     assert bench_pairs._seeds("401-404,410") == [401, 402, 403, 404, 410]
+
+
+def test_sigterm_stops_the_running_benchmark(tmp_path):
+    pid_file = tmp_path / "child.pid"
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            f"import os, pathlib, time\npathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))\ntime.sleep(60)\n"
+        )
+    cmd = [sys.executable, str(TOOLS / "bench_pairs.py"), "--parent", str(tmp_path / "parent"),
+           "--change", str(tmp_path / "change"), "--parent-commit", "p", "--change-commit", "c",
+           "--pairs", "transform-stream=1", "--runs", str(tmp_path / "runs"), "-o", str(tmp_path / "out.json")]
+    driver = subprocess.Popen(cmd)
+    child = None
+    try:
+        deadline = time.monotonic() + 30
+        while child is None and time.monotonic() < deadline:
+            text = pid_file.read_text() if pid_file.exists() else ""
+            child = int(text) if text else None
+            time.sleep(0.05)
+        assert child is not None, "the stub benchmark never started"
+        driver.send_signal(signal.SIGTERM)
+        assert driver.wait(timeout=30) == 128 + signal.SIGTERM
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+    finally:
+        if driver.poll() is None:
+            driver.kill()
+            driver.wait()
+        if child is not None:
+            try:
+                os.kill(child, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

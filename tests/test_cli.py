@@ -223,3 +223,18 @@ def test_window_and_depth_are_bounded_before_allocating(tmp_path, capsys):
         "error: depth = 1000 is too deep: at most 21 for N = 2, g = 1, since the grid holds at most 4194304 samples\n"
     )
     assert not out.exists()
+
+
+def test_a_bank_too_long_to_probe_is_named_not_a_window(tmp_path, capsys):
+    bank = tmp_path / "s.json"
+    save(preset_bank("stretched-haar:1100"), str(bank))
+    for detector in ("halfline", "both"):
+        assert main(["irreducibility", str(bank), "--detector", detector]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the bank's tap span N*g = 2202 exceeds the half-line probe's largest window 2048, "
+            "so it cannot be probed; use --detector corner\n"
+        )
+    assert main(["irreducibility", str(bank)]) == 0
+    assert json.loads(capsys.readouterr().out)["exponents"] == [0, 1100]

@@ -1,4 +1,9 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,6 +21,7 @@ from wavebank import (
     preset_bank,
     synthesize,
 )
+from wavebank import transform
 from wavebank.loops import _polyphase_stack
 from wavebank.transform import _BLOCK
 
@@ -380,3 +386,141 @@ def test_a_level_works_in_its_output_plus_a_few_blocks():
         tracemalloc.stop()
     assert analysis_peak < bound
     assert synthesis_peak < bound
+
+
+# With more than one usable CPU, a level of two or more blocks runs its first
+# half on the calling thread and the rest, with the period fold's last block,
+# on the helper thread; with one CPU every block runs inline.
+
+
+def _all_channels(tree):
+    return [tree.approx, *(ch for level in tree.details for ch in level)]
+
+
+def _note_kernel_threads(monkeypatch):
+    seen = set()
+    kernel = transform._accumulate
+
+    def noting(*args):
+        seen.add(threading.get_ident())
+        kernel(*args)
+
+    monkeypatch.setattr(transform, "_accumulate", noting)
+    return seen
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "N, k, levels, c",
+    [
+        (2, 16, 12, 16),  # level 1 is exactly 2 blocks, the fold 16 columns
+        (2, 16, 12, 24),  # 3 blocks
+        (2, 8, 12, 40),  # 5 blocks
+        (3, 5, 1, 2**15),  # 2 blocks
+        (3, 8, 2, 2**14),  # 3 blocks, then 1
+        (4, 2, 8, 3),  # 3 blocks, then 0.75
+        (4, 4, 8, 5),  # 5 blocks, then 1.25
+    ],
+)
+def test_both_paths_match_the_whole_row_kernel_bit_for_bit(monkeypatch, cpus, N, k, levels, c):
+    monkeypatch.setattr(transform, "_usable_cpus", lambda: cpus)
+    threads = _note_kernel_threads(monkeypatch)
+    rng = np.random.default_rng(300 * N + k)
+    bank = random_spin_bank(rng, N, k)
+    x = random_signal(rng, N**levels * c)
+    assert x.size // N in (2 * _BLOCK, 3 * _BLOCK, 5 * _BLOCK)
+    tree = analyze(x, bank, levels)
+    want = _unblocked_analyze(x, bank, levels)
+    for got, ref in zip(_all_channels(tree), _all_channels(want), strict=True):
+        assert np.array_equal(_bits(got), _bits(ref))
+    assert np.array_equal(_bits(synthesize(tree, bank)), _bits(_unblocked_synthesize(want, bank)))
+    assert len(threads) == cpus
+
+
+def test_concurrent_calls_give_the_serial_bits(monkeypatch):
+    # more calling threads than CPUs, all sharing the one helper
+    monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
+    rng = np.random.default_rng(31)
+    jobs = [
+        (random_spin_bank(rng, 2, 4), random_signal(rng, 2**17), 6),
+        (random_spin_bank(rng, 3, 2), random_signal(rng, 3**4 * 2**10), 4),
+        (random_spin_bank(rng, 4, 1), random_signal(rng, 2**17), 3),
+    ]
+
+    def run(bank, x, levels):
+        tree = analyze(x, bank, levels)
+        return [*_all_channels(tree), synthesize(tree, bank)]
+
+    serial = [run(*job) for job in jobs]
+    results = [[] for _ in jobs]
+
+    def work(i):
+        for _ in range(3):
+            results[i].append(run(*jobs[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, runs in zip(serial, results, strict=True):
+        assert len(runs) == 3
+        for got in runs:
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("half", ["caller", "helper"])
+def test_an_exception_in_either_half_reaches_the_caller(monkeypatch, half):
+    monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
+    rng = np.random.default_rng(32)
+    bank = random_spin_bank(rng, 2, 4)
+    x = random_signal(rng, 2**16)  # level 1 is 2 blocks
+    tree = analyze(x, bank, 3)
+    caller, kernel = threading.get_ident(), transform._accumulate
+
+    def failing(*args):
+        if (threading.get_ident() == caller) == (half == "caller"):
+            raise RuntimeError(f"the {half}'s half failed")
+        kernel(*args)
+
+    monkeypatch.setattr(transform, "_accumulate", failing)
+    with pytest.raises(RuntimeError, match=f"the {half}'s half failed"):
+        analyze(x, bank, 3)
+    with pytest.raises(RuntimeError, match=f"the {half}'s half failed"):
+        synthesize(tree, bank)
+    monkeypatch.setattr(transform, "_accumulate", kernel)
+    again = analyze(x, bank, 3)
+    for got, ref in zip(_all_channels(again), _all_channels(tree), strict=True):
+        assert np.array_equal(_bits(got), _bits(ref))
+    assert np.array_equal(_bits(synthesize(tree, bank)), _bits(_unblocked_synthesize(tree, bank)))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_does_not_wait_on_its_parents_helper(monkeypatch):
+    monkeypatch.setattr(transform, "_usable_cpus", lambda: 2)
+    rng = np.random.default_rng(33)
+    bank = random_spin_bank(rng, 2, 2)
+    x = random_signal(rng, 2**16)
+    want = analyze(x, bank, 2)  # the helper runs in this process from here on
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            got = analyze(x, bank, 2)
+            code = 0 if np.array_equal(_bits(got.approx), _bits(want.approx)) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0

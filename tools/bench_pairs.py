@@ -13,7 +13,8 @@ holds bytecode caches starts faster.  Right after a run it copies the run's
 record from the checkout's ``.perfbench_out/`` into ``RUNS/parent`` or
 ``RUNS/change``, keeping its modification time.  Then it runs ``--trace 1``
 at the first seed of each workload the same way, and finally writes the
-record with ``tools/bench_record.py``.  A failing run stops the driver.
+record with ``tools/bench_record.py``.  A failing run stops the driver, and
+so does SIGTERM, which also kills the run in progress.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -73,7 +75,13 @@ def run_pairs(sides: dict, pairs: dict, runs: Path, seconds: float, log=print) -
     return order
 
 
+def _stop(signum, frame) -> None:
+    # an exception, so that subprocess.run kills the running benchmark on its way out
+    raise SystemExit(128 + signum)
+
+
 def main() -> None:
+    signal.signal(signal.SIGTERM, _stop)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
