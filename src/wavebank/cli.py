@@ -1,77 +1,88 @@
 """Command-line interface wiring design, verification, cascade, transforms and
 irreducibility reports to files.
 
-Exit codes: 0 success, 1 verification failure (a check above tolerance, a
-non-factorable loop, or contradictory decisive irreducibility verdicts),
-2 input or parse errors.  No environment variables are consulted and every
-run is deterministic for fixed inputs; reports always state the tolerance
-they used.
+Every verb first checks the bank or loop it reads or designs, by
+`filters.verify_bank` or `filters.relations_check` (the one orthogonality
+decider), and computes or writes nothing from one that fails.
+
+Exit codes: 0 success, 1 verification failure (that step, a non-factorable
+loop, or contradictory decisive irreducibility verdicts), 2 input or parse
+errors.  No environment variables are consulted and every run is
+deterministic for fixed inputs; reports always state the tolerance they used.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import cascade as casc
 from . import cuntz, filters, loops, storage, transform
 
 
+class VerificationError(Exception):
+    """A bank or loop failed the verify-first step."""
+
+
+def _positive(convert):
+    """An argparse type: a finite value above zero, as ``convert`` parses it."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+def _verify(value, tol: float = filters.ALG_TOL, show: bool = False):
+    """Return a bank or loop that passes its check; print the report if ``show``.
+
+    Raises VerificationError naming the failing residual and its tolerance.
+    """
+    if isinstance(value, loops.PolyLoop):
+        rel, norm = filters.relations_check(value.coeffs, tol), None
+    else:
+        report = filters.verify_bank(value, tol)
+        rel, norm = report.relations, report.normalization
+    where = "(m, i, j) = ({}, {}, {})".format(*rel.worst)
+    checks = [(rel, f"orthogonality relations: residual {rel.residual:.3e} at {where}, tol {rel.tol:.1e}")]
+    if norm is not None:
+        checks.append((norm, f"DC normalization: residual {norm.residual:.3e}, tol {norm.tol:.1e}"))
+    for check, line in checks:
+        if not check.passed:
+            raise VerificationError(f"verification failed: {line}")
+    if show:
+        print("\n".join(line for _, line in checks))
+    return value
+
+
 def _bank_from_design(args) -> filters.FilterBank:
     if args.preset:
         return filters.preset_bank(args.preset)
     if args.spins:
-        sf = storage.load(args.spins, "spins")
-        return loops.loop_to_filters(loops.synthesize_from_spins(sf))
-    loop = storage.load(args.loop, "loop")
-    return loops.loop_to_filters(loop)
-
-
-def _print_bank_checks(bank: filters.FilterBank, tol: float, samples: int) -> bool:
-    report = filters.verify_bank(bank, tol=tol, num_samples=samples)
-    loop = loops.filters_to_loop(bank)
-    unit = loops.unitarity_check(loop, max(2 * loop.degree + 1, samples))
-    ok = report.passed and unit.passed
-    for j, r in enumerate(report.orthogonality):
-        print(
-            f"orthogonality channel {j}: {'pass' if r.passed else 'FAIL'} "
-            f"(residual {r.residual:.3e}, tol {r.tol:.1e}, worst lag {r.worst_lag})"
-        )
-    if report.normalization is not None:
-        r = report.normalization
-        print(f"normalization: {'pass' if r.passed else 'FAIL'} (residual {r.residual:.3e}, tol {r.tol:.1e})")
-    q = report.qmf
-    print(
-        f"power identity: {'pass' if q.passed else 'FAIL'} "
-        f"(residual {q.max_residual:.3e}, tol {q.tol:.1e}, {q.num_samples} samples)"
-    )
-    print(
-        f"loop unitarity: {'pass' if unit.passed else 'FAIL'} "
-        f"(residual {unit.max_residual:.3e}, tol {unit.tol:.1e}, {unit.num_samples} samples)"
-    )
-    return ok
+        return loops.loop_to_filters(loops.synthesize_from_spins(storage.load(args.spins, "spins")))
+    return loops.loop_to_filters(storage.load(args.loop, "loop"))
 
 
 def _cmd_design(args) -> int:
-    bank = _bank_from_design(args)
-    ok = _print_bank_checks(bank, args.tol, args.samples)
-    if not ok:
-        print("designed bank failed verification", file=sys.stderr)
-        return 1
+    bank = _verify(_bank_from_design(args), args.tol, show=True)
     storage.save(bank, args.output)
     print(f"wrote {args.output}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    bank = storage.load(args.bank, "bank")
-    ok = _print_bank_checks(bank, args.tol, args.samples)
-    print("verified" if ok else "verification FAILED")
-    return 0 if ok else 1
+    _verify(storage.load(args.bank, "bank"), args.tol, show=True)
+    print("verified")
+    return 0
 
 
 def _cmd_cascade(args) -> int:
-    bank = storage.load(args.bank, "bank")
+    bank = _verify(storage.load(args.bank, "bank"))
     result = casc.cascade_iterate(bank, args.depth, max_iters=args.max_iters, tol=args.tol)
     print(
         f"cascade: converged={result.converged} after {result.iterations} iterations "
@@ -90,7 +101,7 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    bank = storage.load(args.bank, "bank")
+    bank = _verify(storage.load(args.bank, "bank"))
     signal = storage.load(args.signal, "signal")
     tree = transform.analyze(signal, bank, args.levels)
     storage.save(tree, args.output)
@@ -99,7 +110,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    bank = storage.load(args.bank, "bank")
+    bank = _verify(storage.load(args.bank, "bank"))
     tree = storage.load(args.tree, "tree")
     signal = transform.synthesize(tree, bank)
     storage.save(signal, args.output)
@@ -108,7 +119,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_irreducibility(args) -> int:
-    bank = storage.load(args.bank, "bank")
+    bank = _verify(storage.load(args.bank, "bank"))
     span = bank.N * bank.g
     if args.detector != "corner" and not args.window and span > cuntz.PROBE_MAX_WINDOW:
         raise ValueError(
@@ -119,11 +130,7 @@ def _cmd_irreducibility(args) -> int:
     window = args.window if args.window else max(32, span)
 
     corner = cuntz.detect_monomial_corner(loop) if args.detector in ("corner", "both") else None
-    probe = (
-        cuntz.invariant_subspace_probe(bank, window)
-        if args.detector in ("halfline", "both")
-        else None
-    )
+    probe = cuntz.invariant_subspace_probe(bank, window) if args.detector in ("halfline", "both") else None
 
     if corner is not None:
         report = {
@@ -143,8 +150,7 @@ def _cmd_irreducibility(args) -> int:
             "residual": probe.residual,
             "confidence": "evidence",
         }
-    text = storage.json_text(report)
-    print(text, end="")
+    print(storage.json_text(report), end="")
     if args.output:
         storage.save_report(report, args.output)
         print(f"wrote {args.output}")
@@ -164,21 +170,10 @@ def _cmd_irreducibility(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    loop = storage.load_bank_or_loop(args.input)
+    loop = _verify(storage.load_bank_or_loop(args.input))
     if isinstance(loop, filters.FilterBank):
         loop = loops.filters_to_loop(loop)
-    unit = loops.unitarity_check(loop)
-    if not unit.passed:
-        print(
-            f"loop fails unitarity (residual {unit.max_residual:.3e}, tol {unit.tol:.1e})",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        sf = loops.factor_to_spins(loop)
-    except loops.NotFactorableError as exc:
-        print(f"not factorable: {exc}", file=sys.stderr)
-        return 1
+    sf = loops.factor_to_spins(loop)
     storage.save(sf, args.output)
     ranks = [vecs.shape[0] for vecs in sf.factors]
     print(f"wrote {args.output} ({len(sf.factors)} factors, ranks {ranks})")
@@ -186,8 +181,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_loop(args) -> int:
-    bank = storage.load(args.bank, "bank")
-    loop = loops.filters_to_loop(bank)
+    loop = loops.filters_to_loop(_verify(storage.load(args.bank, "bank")))
     storage.save(loop, args.output)
     print(f"wrote {args.output} (degree {loop.degree})")
     return 0
@@ -205,15 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", help="haar | db4 | stretched-haar:k")
     src.add_argument("--spins", help="spin factorization JSON")
     src.add_argument("--loop", help="loop JSON")
-    p.add_argument("--tol", type=float, default=filters.ALG_TOL)
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--tol", type=_positive(float), default=filters.ALG_TOL)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_design)
 
-    p = sub.add_parser("verify", help="run every filter-level and loop-level check")
+    p = sub.add_parser("verify", help="check the orthogonality relations and the DC sum")
     p.add_argument("bank")
-    p.add_argument("--tol", type=float, default=filters.ALG_TOL)
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--tol", type=_positive(float), default=filters.ALG_TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cascade", help="compute the scaling function samples")
@@ -222,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--depth", type=int, default=8,
         help=f"grid step N^-depth (the grid may hold at most {casc.CASCADE_MAX_SAMPLES} samples)",
     )
-    p.add_argument("--max-iters", type=int, default=60)
-    p.add_argument("--tol", type=float, default=casc.CASCADE_TOL)
+    p.add_argument("--max-iters", type=_positive(int), default=60)
+    p.add_argument("--tol", type=_positive(float), default=casc.CASCADE_TOL)
     p.add_argument("--wavelets", help="also write detail functions to PREFIX<j>.csv")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_cascade)
@@ -268,6 +260,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except VerificationError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    except loops.NotFactorableError as exc:
+        print(f"not factorable: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:  # StorageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

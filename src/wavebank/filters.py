@@ -7,9 +7,16 @@ Conventions used throughout the package:
 * the symbol of a filter is ``m(z) = N^{-1/2} sum_k a_k z^k`` on ``|z| = 1``;
 * a scale-``N`` bank of genus ``g`` holds ``N`` filters whose taps lie in
   ``[0, N*g)``, channel 0 being the low-pass;
-* an orthogonal low-pass satisfies ``sum_k a_{k+N*l} conj(a_k) = N delta_l``
-  and, when additionally DC-normalized, ``sum_k a_k = N`` (i.e. ``m(1) =
+* a bank is orthogonal when its channels satisfy the orthogonality relations
+  ``sum_k a^{(i)}_{k+N*m} conj(a^{(j)}_k) = N delta_ij delta_m0``, and
+  DC-normalized when additionally ``sum_k a^{(0)}_k = N`` (i.e. ``m(1) =
   sqrt(N)``).
+
+`relations_check` decides all of the finitely many relations at once, on the
+polyphase coefficients ``A_d[j, r] = a^{(j)}_{N*d+r} / sqrt(N)``;
+`verify_bank` is that check plus the DC normalization.  The per-channel `orthogonality_check`,
+the sampled `qmf_identity_check` and ``loops.unitarity_check`` each see part
+of the same identities and decide nothing on their own.
 
 All operations are pure and deterministic; the container types are treated
 as immutable after construction.
@@ -30,12 +37,14 @@ __all__ = [
     "NormalizationReport",
     "OrthogonalityReport",
     "QmfReport",
+    "RelationsReport",
     "BankReport",
     "coeffs_from_dense",
     "normalization_check",
     "orthogonality_check",
     "symbol_eval",
     "qmf_identity_check",
+    "relations_check",
     "haar_complement",
     "preset_bank",
     "verify_bank",
@@ -172,12 +181,21 @@ class QmfReport:
 
 
 @dataclass(frozen=True)
-class BankReport:
-    """Aggregate of the per-filter and low-pass checks for a whole bank."""
+class RelationsReport:
+    """The worst residual of the orthogonality relations and its ``(m, i, j)``."""
 
     passed: bool
-    orthogonality: tuple[OrthogonalityReport, ...]
-    qmf: QmfReport
+    residual: float
+    worst: tuple[int, int, int]
+    tol: float
+
+
+@dataclass(frozen=True)
+class BankReport:
+    """The orthogonality relations plus, when the bank claims it, the DC sum."""
+
+    passed: bool
+    relations: RelationsReport
     normalization: NormalizationReport | None
 
 
@@ -228,6 +246,37 @@ def qmf_identity_check(
     totals = np.sum(np.abs(vals) ** 2, axis=1)
     max_residual = float(np.max(np.abs(totals - N)))
     return QmfReport(max_residual <= tol, max_residual, num_samples, tol)
+
+
+def _polyphase_stack(bank: FilterBank) -> np.ndarray:
+    """The unpruned ``(g, N, N)`` stack ``A_d[j, r] = a^{(j)}_{Nd+r} / sqrt(N)``."""
+    N, g = bank.N, bank.g
+    return bank.dense_taps().reshape(N, g, N).transpose(1, 0, 2) / math.sqrt(N)
+
+
+def relations_check(coeffs, tol: float = ALG_TOL) -> RelationsReport:
+    """Check ``C_m = sum_d A_{d+m} A_d^* = delta_m0 I`` for ``m = 0..D-1``.
+
+    ``coeffs`` is a polyphase stack ``(A_0, ..., A_{D-1})`` of ``N x N``
+    matrices, a bank's or a loop's.  The ``C_m`` are the Laurent coefficients
+    of ``A(z) A(z)^*`` (those at ``-m`` are their adjoints), so the identity
+    ``A(z) A(z)^* = I`` holds exactly when every ``C_m`` matches; for a bank,
+    ``N C_m[i, j] = sum_k a^{(i)}_{k+N*m} conj(a^{(j)}_k)``.
+
+    The residual is on that tap scale: the largest ``N |C_m - delta_m0 I|``
+    entry, so on the diagonal it is the deviation `orthogonality_check`
+    reports for channel ``i`` at lag ``m``.  ``worst`` is its ``(m, i, j)``,
+    the first one on ties or at a NaN.
+    """
+    A = np.asarray(coeffs, dtype=np.complex128)
+    D, N = A.shape[0], A.shape[1]
+    C = np.stack([np.einsum("dik,djk->ij", A[m:], A[: D - m].conj()) for m in range(D)])
+    C[0] -= np.eye(N)
+    devs = N * np.abs(C)
+    flat = int(np.argmax(devs))  # the first maximum, or the first NaN
+    residual = float(devs.flat[flat])
+    m, i, j = (int(x) for x in np.unravel_index(flat, devs.shape))
+    return RelationsReport(residual <= tol, residual, (m, i, j), tol)
 
 
 def haar_complement(f: FilterCoeffs, g: int, N: int = 2) -> FilterCoeffs:
@@ -290,15 +339,9 @@ def preset_bank(name: str) -> FilterBank:
     return bank
 
 
-def verify_bank(
-    bank: FilterBank,
-    tol: float = ALG_TOL,
-    num_samples: int = 256,
-    circle_tol: float = CIRCLE_TOL,
-) -> BankReport:
-    """Run translate orthonormality on every channel plus the low-pass checks."""
-    orth = tuple(orthogonality_check(f, bank.N, tol) for f in bank.filters)
-    qmf = qmf_identity_check(bank.lowpass, bank.N, num_samples, circle_tol)
+def verify_bank(bank: FilterBank, tol: float = ALG_TOL) -> BankReport:
+    """Check the orthogonality relations and, if the bank claims it, the DC sum."""
+    relations = relations_check(_polyphase_stack(bank), tol)
     norm = normalization_check(bank.lowpass, bank.N, tol) if bank.lowpass_normalized else None
-    passed = all(r.passed for r in orth) and qmf.passed and (norm is None or norm.passed)
-    return BankReport(passed, orth, qmf, norm)
+    passed = relations.passed and (norm is None or norm.passed)
+    return BankReport(passed, relations, norm)

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import FilterBank, coeffs_from_dense, normalization_check
+from .filters import FilterBank, _polyphase_stack, coeffs_from_dense, normalization_check
 
 __all__ = [
     "UNITARITY_TOL",
+    "ROUNDTRIP_TOL",
     "SV_TOL",
     "PolyLoop",
     "SpinFactorization",
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-10
+# The largest coefficient error `factor_to_spins` accepts when it
+# re-synthesizes its factors.
+ROUNDTRIP_TOL = 1e-10
 # Singular values below this are treated as numerically zero when extracting
 # projection ranges; two orders above the accumulation error at desk degrees.
 SV_TOL = 1e-9
@@ -160,12 +164,6 @@ class UnitarityReport:
     tol: float
 
 
-def _polyphase_stack(bank: FilterBank) -> np.ndarray:
-    """The unpruned ``(g, N, N)`` stack ``A_d[j, r] = a^{(j)}_{Nd+r} / sqrt(N)``."""
-    N, g = bank.N, bank.g
-    return bank.dense_taps().reshape(N, g, N).transpose(1, 0, 2) / math.sqrt(N)
-
-
 def filters_to_loop(bank: FilterBank) -> PolyLoop:
     """Regroup bank taps into the polyphase loop ``A_d[j, k] = a^{(j)}_{Nd+k} / sqrt(N)``."""
     return PolyLoop(bank.N, _prune(_polyphase_stack(bank)))
@@ -249,7 +247,10 @@ def factor_to_spins(loop: PolyLoop, sv_tol: float = SV_TOL) -> SpinFactorization
     at most ``N - 1``.
 
     Raises NotFactorableError when the constant term leaks past ``P`` beyond
-    ``10 * sv_tol``, which signals a numerically non-paraunitary input.
+    ``10 * sv_tol``, which signals a numerically non-paraunitary input, and
+    when the factors do not re-synthesize the input: a different degree, or
+    a coefficient off by more than ``ROUNDTRIP_TOL`` (the message names that
+    error), which happens when the peel loses accuracy at higher degrees.
     """
     N = loop.N
     eye = np.eye(N, dtype=np.complex128)
@@ -296,4 +297,16 @@ def factor_to_spins(loop: PolyLoop, sv_tol: float = SV_TOL) -> SpinFactorization
             )
         coeffs = _prune(coeffs[:-1] @ (eye - P) + coeffs[1:] @ P)
         peeled.append(vectors)
-    return SpinFactorization(N, coeffs[0], tuple(reversed(peeled)))
+    sf = SpinFactorization(N, coeffs[0], tuple(reversed(peeled)))
+    back = synthesize_from_spins(sf).coeffs
+    diff = np.zeros((max(back.shape[0], loop.coeffs.shape[0]), N, N), dtype=np.complex128)
+    diff[: back.shape[0]] = back
+    diff[: loop.coeffs.shape[0]] -= loop.coeffs
+    error = float(np.abs(diff).max())
+    if back.shape != loop.coeffs.shape or not error <= ROUNDTRIP_TOL:
+        raise NotFactorableError(
+            f"the factors re-synthesize a degree-{back.shape[0] - 1} loop that misses the "
+            f"degree-{loop.degree} input by more than {ROUNDTRIP_TOL:.0e}",
+            error,
+        )
+    return sf

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import FilterBank
-from .loops import _polyphase_stack
+from .filters import FilterBank, _polyphase_stack
 
 __all__ = ["CoeffTree", "analyze", "synthesize", "energy_report"]
 

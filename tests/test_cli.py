@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spins
-from wavebank import load, preset_bank, save
+from wavebank import FilterBank, analyze, filters_to_loop, load, preset_bank, save
 from wavebank.cli import main
 
 
@@ -238,3 +238,80 @@ def test_a_bank_too_long_to_probe_is_named_not_a_window(tmp_path, capsys):
         )
     assert main(["irreducibility", str(bank)]) == 0
     assert json.loads(capsys.readouterr().out)["exponents"] == [0, 1100]
+
+
+def test_every_verb_refuses_an_equal_channel_bank_before_computing(tmp_path, capsys):
+    db4 = preset_bank("db4")
+    bank, good = str(tmp_path / "eq.json"), str(tmp_path / "db4.json")
+    save(FilterBank(2, 2, (db4.lowpass, db4.lowpass)), bank)  # each channel alone is orthonormal
+    save(db4, good)
+    sig, tree = str(tmp_path / "s.csv"), str(tmp_path / "t.json")
+    save(np.arange(16.0), sig)
+    save(analyze(np.arange(16.0), db4, 1), tree)
+    out = tmp_path / "out"
+    out.mkdir()
+    o = str(out / "x")
+    for argv in (
+        ["verify", bank],
+        ["cascade", bank, "--wavelets", o, "-o", o],
+        ["irreducibility", bank, "--detector", "both", "-o", o],
+        ["transform-analyze", sig, "--bank", bank, "-o", o],
+        ["transform-synth", tree, "--bank", bank, "-o", o],
+        ["factor", bank, "-o", o],
+        ["loop", bank, "-o", o],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "verification failed: orthogonality relations: residual 2.000e+00 "
+            "at (m, i, j) = (0, 0, 1), tol 1.0e-10\n"
+        ), argv
+        assert list(out.iterdir()) == []
+    assert main(["verify", good]) == 0
+    assert "orthogonality relations: residual" in capsys.readouterr().out
+
+
+def test_factor_verifies_a_loop_input_by_the_relations(tmp_path, capsys):
+    loop = tmp_path / "loop.json"
+    save(filters_to_loop(preset_bank("db4")), str(loop))
+    data = json.loads(loop.read_text())
+    data["coeffs"][1][0][0] = [0.5, 0.0]
+    loop.write_text(json.dumps(data))
+    assert main(["factor", str(loop), "-o", str(tmp_path / "s.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: orthogonality relations: residual ")
+    assert err.endswith(", tol 1.0e-10\n") and err.count("\n") == 1
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_meaningless_tolerances_and_iteration_counts_exit_2(tmp_path, capsys):
+    bank = str(tmp_path / "db4.json")
+    save(preset_bank("db4"), bank)
+    out = tmp_path / "phi.csv"
+    for argv, flag in (
+        (["cascade", bank, "--tol", "inf", "-o", str(out)], "--tol"),
+        (["cascade", bank, "--tol", "nan", "-o", str(out)], "--tol"),
+        (["cascade", bank, "--tol", "-1", "-o", str(out)], "--tol"),
+        (["cascade", bank, "--tol", "0", "-o", str(out)], "--tol"),
+        (["cascade", bank, "--max-iters", "-3", "-o", str(out)], "--max-iters"),
+        (["cascade", bank, "--max-iters", "0", "-o", str(out)], "--max-iters"),
+        (["verify", bank, "--tol", "inf"], "--tol"),
+        (["design", "--preset", "db4", "--tol", "nan", "-o", str(out)], "--tol"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"argument {flag}: must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["cascade", bank, "--depth", "4", "--max-iters", "1", "--tol", "1e-3", "-o", str(out)]) == 0
+    assert "after 1 iterations" in capsys.readouterr().out
+
+
+def test_samples_option_is_gone(tmp_path, capsys):
+    bank = str(tmp_path / "b.json")
+    for argv in (["verify", bank, "--samples", "16"], ["design", "--preset", "haar", "--samples", "16", "-o", bank]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --samples" in capsys.readouterr().err

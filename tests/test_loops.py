@@ -276,6 +276,17 @@ def test_factor_rejects_non_paraunitary():
     assert exc.value.residual > 1e-8
 
 
+def test_factor_refuses_factors_that_miss_the_round_trip():
+    # the peel completes on these loops, but its factors re-synthesize them
+    # with coefficient errors of about 2.5e-10 and 3.0e-10
+    for seed, N, k in ((20, 2, 16), (27, 3, 16)):
+        loop = synthesize_from_spins(random_spins(np.random.default_rng(seed), N, k))
+        with pytest.raises(NotFactorableError, match="re-synthesize") as exc:
+            factor_to_spins(loop)
+        assert 1e-10 < exc.value.residual < 1e-9
+        assert f"(residual {exc.value.residual:.3e})" in str(exc.value)
+
+
 def test_left_unitary_twist_changes_only_v():
     rng = np.random.default_rng(123)
     loop = synthesize_from_spins(random_spins(rng, 3, 4))
