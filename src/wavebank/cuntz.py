@@ -46,8 +46,9 @@ __all__ = [
 CUNTZ_TOL = 1e-12
 LADDER_TOL = 1e-10
 PROBE_TOL = 1e-10
-# The largest half-line probe window K: the probe holds dense complex
-# (2K+1)^2 matrices, two of 268 MB each at this K.
+# The largest half-line probe window K: the probe holds one channel's dense
+# complex (2K+1)^2 operator and its adjoint at a time, 268 MB each at this K,
+# and about 600 MB at its peak.
 PROBE_MAX_WINDOW = 2048
 
 
@@ -267,6 +268,10 @@ def invariant_subspace_probe(bank: FilterBank, K: int, tol: float = PROBE_TOL) -
     indices under any ``S_j`` or ``S_j^*``.  A residual at or below ``tol``
     certifies a reducing subspace of this particular family; a larger one only
     rules the half-line out, it does not certify irreducibility.
+
+    Each channel's operator is a dense ``(2K+1)^2`` complex matrix, built
+    with its conjugate transpose; one channel's pair is alive at a time, so
+    the probe peaks at about ``2.25 * 16 (2K+1)^2`` bytes.
     """
     N = bank.N
     span = max(f.span for f in bank.filters)
@@ -277,25 +282,34 @@ def invariant_subspace_probe(bank: FilterBank, K: int, tol: float = PROBE_TOL) -
             f"window K = {K} is too large: at most {PROBE_MAX_WINDOW}, "
             "since the probe holds dense (2K+1)^2 matrices"
         )
+    residual = 0.0
+    for f in bank.filters:
+        residual = max(residual, *_half_line_leaks(f, N, K, span))
+    return ProbeReport(residual <= tol, residual, K)
+
+
+def _half_line_leaks(f: FilterCoeffs, N: int, K: int, span: int) -> tuple[float, float]:
+    """The worst half-line leaks of one channel's ``S_j`` and ``S_j^*`` on ``[-K, K]``.
+
+    A function of its own, so that one channel's dense operator and its
+    adjoint are freed before the next channel's are built.
+    """
     size = 2 * K + 1
     k_idx = np.arange(-K, K + 1)
-    residual = 0.0
     safe = slice(K, 2 * K + 1 - span)  # array rows/cols of indices 0 .. K - span
     neg = slice(0, K)  # array rows/cols of indices -K .. -1
-    for f in bank.filters:
-        T = np.zeros((size, size), dtype=np.complex128)
-        for i, c in enumerate(f.taps):
-            t = f.offset + i
-            # entries T[k, l] = a_{k - N l} / sqrt(N) at k = N l + t
-            l = k_idx
-            k = N * l + t
-            keep = (k >= -K) & (k <= K)
-            T[k[keep] + K, l[keep] + K] = c / math.sqrt(N)
-        fwd_leak = np.linalg.norm(T[neg, safe], axis=0).max()
-        adj = T.conj().T
-        adj_leak = np.linalg.norm(adj[neg, safe], axis=0).max()
-        residual = max(residual, float(fwd_leak), float(adj_leak))
-    return ProbeReport(residual <= tol, residual, K)
+    T = np.zeros((size, size), dtype=np.complex128)
+    for i, c in enumerate(f.taps):
+        t = f.offset + i
+        # entries T[k, l] = a_{k - N l} / sqrt(N) at k = N l + t
+        l = k_idx
+        k = N * l + t
+        keep = (k >= -K) & (k <= K)
+        T[k[keep] + K, l[keep] + K] = c / math.sqrt(N)
+    fwd_leak = np.linalg.norm(T[neg, safe], axis=0).max()
+    adj = T.conj().T
+    adj_leak = np.linalg.norm(adj[neg, safe], axis=0).max()
+    return float(fwd_leak), float(adj_leak)
 
 
 def stretched_haar_adjusted(k: int) -> FilterBank:

@@ -46,11 +46,25 @@ _PRUNE_TOL = 1e-12
 
 
 class NotFactorableError(ValueError):
-    """Degree reduction failed: the input is not numerically paraunitary."""
+    """Degree reduction failed: the input is not numerically paraunitary.
 
-    def __init__(self, message: str, residual: float):
+    ``step`` is the number of factors peeled when the error fired.  A refused
+    round trip also carries ``conditioning = |P_1 P_2 ... P_k|_2`` of the
+    refused factors: the factor by which the coefficient form shrinks the
+    leading coefficient (``prod |<v_i, v_{i+1}>|`` for rank-one factors).
+    """
+
+    def __init__(
+        self, message: str, residual: float, step: int | None = None, conditioning: float | None = None
+    ):
+        if step is not None:
+            message += f" at step {step}"
+        if conditioning is not None:
+            message += f", conditioning {conditioning:.3e}"
         super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = residual
+        self.step = step
+        self.conditioning = conditioning
 
 
 def _as_coeffs(coeffs, N: int | None = None) -> np.ndarray:
@@ -250,7 +264,8 @@ def factor_to_spins(loop: PolyLoop, sv_tol: float = SV_TOL) -> SpinFactorization
     ``10 * sv_tol``, which signals a numerically non-paraunitary input, and
     when the factors do not re-synthesize the input: a different degree, or
     a coefficient off by more than ``ROUNDTRIP_TOL`` (the message names that
-    error), which happens when the peel loses accuracy at higher degrees.
+    error and the conditioning of the factors), which happens when the peel
+    loses accuracy at higher degrees.  Every refusal names its step.
     """
     N = loop.N
     eye = np.eye(N, dtype=np.complex128)
@@ -261,12 +276,12 @@ def factor_to_spins(loop: PolyLoop, sv_tol: float = SV_TOL) -> SpinFactorization
         _, s, Vh = np.linalg.svd(coeffs[-1])
         rank = int(np.sum(s > sv_tol))
         if rank == 0:
-            raise NotFactorableError("leading coefficient is numerically zero", float(s[0]))
+            raise NotFactorableError("leading coefficient is numerically zero", float(s[0]), len(peeled))
         if rank == N:
             leak = float(np.abs(coeffs[0]).max())
             if leak > leak_tol:
                 raise NotFactorableError(
-                    "full-rank leading coefficient with nonzero constant term", leak
+                    "full-rank leading coefficient with nonzero constant term", leak, len(peeled)
                 )
             # z*I = (I - P + zP)(I - (I-P) + z(I-P)) for any projection P;
             # emit the pair right factor first, then divide the loop by z.
@@ -293,7 +308,7 @@ def factor_to_spins(loop: PolyLoop, sv_tol: float = SV_TOL) -> SpinFactorization
         residual, vectors, P = best
         if residual > leak_tol:
             raise NotFactorableError(
-                "constant term not annihilated by the extracted projection", residual
+                "constant term not annihilated by the extracted projection", residual, len(peeled)
             )
         coeffs = _prune(coeffs[:-1] @ (eye - P) + coeffs[1:] @ P)
         peeled.append(vectors)
@@ -304,9 +319,14 @@ def factor_to_spins(loop: PolyLoop, sv_tol: float = SV_TOL) -> SpinFactorization
     diff[: loop.coeffs.shape[0]] -= loop.coeffs
     error = float(np.abs(diff).max())
     if back.shape != loop.coeffs.shape or not error <= ROUNDTRIP_TOL:
+        product = np.eye(N, dtype=np.complex128)
+        for P in sf.projections():
+            product = product @ P
         raise NotFactorableError(
             f"the factors re-synthesize a degree-{back.shape[0] - 1} loop that misses the "
             f"degree-{loop.degree} input by more than {ROUNDTRIP_TOL:.0e}",
             error,
+            len(peeled),
+            float(np.linalg.norm(product, 2)),
         )
     return sf

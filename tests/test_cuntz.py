@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,22 @@ def test_probe_window_is_bounded_before_allocating():
     # numpy cannot allocate the dense matrices of this window
     with pytest.raises(ValueError, match=r"window K = 100000000 is too large: at most 2048, "):
         invariant_subspace_probe(preset_bank("haar"), 100_000_000)
+
+
+def test_probe_holds_one_channels_operators_at_a_time():
+    # one channel's dense operator and its adjoint are freed before the next
+    # channel's are built: 2.25 matrices at the peak, 3 if a pair outlives its channel
+    K = 256
+    matrix_bytes = 16 * (2 * K + 1) ** 2
+    bank = preset_bank("db4")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        invariant_subspace_probe(bank, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * matrix_bytes
 
 
 def test_probe_stretched_haar_leaks_despite_reducibility():

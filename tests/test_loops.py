@@ -287,6 +287,26 @@ def test_factor_refuses_factors_that_miss_the_round_trip():
         assert f"(residual {exc.value.residual:.3e})" in str(exc.value)
 
 
+def test_refusal_names_the_step_and_the_conditioning():
+    # for rank-one factors |P_1 ... P_k|_2 = prod |<v_i, v_{i+1}>|, and the refused
+    # factors match the generating spin vectors up to phase
+    for seed, N, k in ((20, 2, 16), (27, 3, 16)):
+        spins = random_spins(np.random.default_rng(seed), N, k)
+        with pytest.raises(NotFactorableError) as exc:
+            factor_to_spins(synthesize_from_spins(spins))
+        v = [vecs[0] for vecs in spins.factors]
+        expected = math.prod(abs(np.vdot(v[i], v[i + 1])) for i in range(k - 1))
+        assert exc.value.step == k
+        assert exc.value.conditioning == pytest.approx(expected, rel=1e-6)
+        assert f"at step {k}, conditioning {exc.value.conditioning:.3e} (residual " in str(exc.value)
+    # a refusal inside the peel names its step and no conditioning
+    coeffs = filters_to_loop(preset_bank("db4")).coeffs.copy()
+    coeffs[1, 0, 0] += 1e-3
+    with pytest.raises(NotFactorableError, match=r"at step 0 \(residual ") as exc:
+        factor_to_spins(PolyLoop(2, coeffs))
+    assert exc.value.step == 0 and exc.value.conditioning is None
+
+
 def test_left_unitary_twist_changes_only_v():
     rng = np.random.default_rng(123)
     loop = synthesize_from_spins(random_spins(rng, 3, 4))
