@@ -23,13 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import FilterBank, FilterCoeffs
-from .loops import SV_TOL, PolyLoop
+from .loops import PolyLoop
 
 __all__ = [
     "CUNTZ_TOL",
     "LADDER_TOL",
     "PROBE_TOL",
     "PROBE_MAX_WINDOW",
+    "SV_TOL",
     "CuntzSystem",
     "CuntzReport",
     "SubbandLadder",
@@ -50,6 +51,9 @@ PROBE_TOL = 1e-10
 # complex (2K+1)^2 operator and its adjoint at a time, 268 MB each at this K,
 # and about 600 MB at its peak.
 PROBE_MAX_WINDOW = 2048
+# Column norms below this count as zero when `detect_monomial_corner` looks
+# for monomial columns; two orders above the accumulation error at desk degrees.
+SV_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,13 +204,13 @@ class CornerReport:
     residual: float
 
 
-def detect_monomial_corner(loop: PolyLoop, sv_tol: float = SV_TOL) -> CornerReport:
+def detect_monomial_corner(loop: PolyLoop) -> CornerReport:
     """Search a unitary loop for monomial columns ``A(z) e_k = z^{n_k} w_k``.
 
     Coordinate ``k`` contributes to the corner exactly when the standard
     basis vector ``e_k`` lies in the joint null space of every coefficient
     ``A_d`` with ``d != n_k``, i.e. when all but one of the column norms
-    ``|A_d e_k|`` fall below ``sv_tol`` (unitarity makes the surviving image
+    ``|A_d e_k|`` fall below ``SV_TOL`` (unitarity makes the surviving image
     a unit vector).  Aggregating over all coordinates yields the maximal
     corner; the system is reducible when the corner is nonempty, and for
     ``M = N`` the loop literally equals ``V diag(z^{n_0}, ..., z^{n_{N-1}})``
@@ -230,7 +234,7 @@ def detect_monomial_corner(loop: PolyLoop, sv_tol: float = SV_TOL) -> CornerRepo
         norms = column_norms[:, k]
         n = int(np.argmax(norms))
         off = float(np.max(np.delete(norms, n))) if norms.size > 1 else 0.0
-        if off <= sv_tol:
+        if off <= SV_TOL:
             exponents.append(n)
             u = np.zeros(N, dtype=np.complex128)
             u[k] = 1.0

@@ -7,8 +7,8 @@ index bookkeeping with no arithmetic beyond the ``sqrt(N)`` scaling.
 
 Degree-one elementary factors ``I - P + z P`` built from orthogonal
 projections generate every polynomial loop; `synthesize_from_spins` expands a
-constant unitary times such factors, and `factor_to_spins` peels the factors
-back off by degree reduction.
+constant unitary times such factors, and `factor_to_spins` peels rank-one
+factors back off, as many as the winding number of ``det A(z)``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .filters import FilterBank, _polyphase_stack, coeffs_from_dense, normalizat
 __all__ = [
     "UNITARITY_TOL",
     "ROUNDTRIP_TOL",
-    "SV_TOL",
     "PolyLoop",
     "SpinFactorization",
     "UnitarityReport",
@@ -39,19 +38,18 @@ UNITARITY_TOL = 1e-10
 # The largest coefficient error `factor_to_spins` accepts when it
 # re-synthesizes its factors.
 ROUNDTRIP_TOL = 1e-10
-# Singular values below this are treated as numerically zero when extracting
-# projection ranges; two orders above the accumulation error at desk degrees.
-SV_TOL = 1e-9
 _PRUNE_TOL = 1e-12
 
 
 class NotFactorableError(ValueError):
-    """Degree reduction failed: the input is not numerically paraunitary.
+    """The peeled factors do not re-synthesize the loop within ``ROUNDTRIP_TOL``.
 
-    ``step`` is the number of factors peeled when the error fired.  A refused
-    round trip also carries ``conditioning = |P_1 P_2 ... P_k|_2`` of the
-    refused factors: the factor by which the coefficient form shrinks the
-    leading coefficient (``prod |<v_i, v_{i+1}>|`` for rank-one factors).
+    The input is not numerically paraunitary, or the peel lost accuracy.
+    ``step`` is the number of factors peeled, and ``conditioning =
+    |P_1 P_2 ... P_k|_2`` of the refused factors is the factor by which the
+    coefficient form shrinks the leading coefficient (``prod |<v_i, v_{i+1}>|``
+    for rank-one factors).  Both are optional for callers that raise it
+    without a peel.
     """
 
     def __init__(
@@ -238,81 +236,42 @@ def synthesize_from_spins(sf: SpinFactorization) -> PolyLoop:
     return PolyLoop(N, _prune(coeffs))
 
 
-def factor_to_spins(loop: PolyLoop, sv_tol: float = SV_TOL) -> SpinFactorization:
-    """Peel degree-one projection factors off a unitary loop.
+def factor_to_spins(loop: PolyLoop) -> SpinFactorization:
+    """Peel rank-one spin factors off a unitary loop.
 
-    Each step takes ``P`` = the orthogonal projection onto the row space of
-    the leading coefficient ``A_D`` (its right singular vectors above
-    ``sv_tol``, conjugated) and multiplies by ``I - P + P/z``.  Unitarity on
-    the circle forces ``A_0 P = 0``, so the quotient stays polynomial and the
-    degree drops by one; what survives at degree zero is the constant ``V``.
-    The factor list is ordered so that `synthesize_from_spins` reproduces the
-    input.
+    ``det A(z) = c z^m`` for a unitary loop, and ``m`` (the winding number)
+    is the number of rank-one factors: it is read off the FFT of ``det A`` at
+    ``N * degree + 1`` roots of unity.  Each of the ``m`` steps takes the spin
+    vector ``v`` spanning ``ker A_0`` (the last right singular vector) and
+    multiplies by ``I - P + P/z`` with ``P = v v^*``, keeping every
+    coefficient.  What survives is the constant ``A_0``; its polar factor
+    is ``V``, unitary even when the input is not, so the round trip below is
+    the one judge.  Pure delays and factors of higher rank come out as rank-one
+    factors like every other loop.  The factor list is ordered so that
+    `synthesize_from_spins` reproduces the input.
 
-    The same subspace is the null space of the constant coefficient, and the
-    two estimates are complementary in conditioning (a nearly rank-deficient
-    leading coefficient goes with a well-separated constant-term kernel and
-    vice versa), so each step computes both and keeps whichever violates the
-    two cancellation constraints less.
-
-    A leading coefficient of full rank can only occur when the constant term
-    vanishes (the loop is ``z`` times a lower-degree loop); that pure delay is
-    peeled as two complementary projections so every stored factor keeps rank
-    at most ``N - 1``.
-
-    Raises NotFactorableError when the constant term leaks past ``P`` beyond
-    ``10 * sv_tol``, which signals a numerically non-paraunitary input, and
-    when the factors do not re-synthesize the input: a different degree, or
-    a coefficient off by more than ``ROUNDTRIP_TOL`` (the message names that
-    error and the conditioning of the factors), which happens when the peel
-    loses accuracy at higher degrees.  Every refusal names its step.
+    Raises NotFactorableError when the factors do not re-synthesize the
+    input: a different degree, or a coefficient off by more than
+    ``ROUNDTRIP_TOL``.  The error names that residual, the step (the number
+    of factors peeled) and the conditioning of the factors.  This happens on
+    inputs that are not numerically paraunitary and when the peel loses
+    accuracy at higher degrees.
     """
     N = loop.N
     eye = np.eye(N, dtype=np.complex128)
-    leak_tol = 10.0 * sv_tol
+    samples = N * loop.degree + 1
+    dets = np.linalg.det(loop.eval_many(np.exp(2j * np.pi * np.arange(samples) / samples)))
+    m = int(np.argmax(np.abs(np.fft.fft(dets))))
     coeffs = loop.coeffs.copy()
-    peeled: list[np.ndarray] = []  # projections in peel order (rightmost factor first)
-    while coeffs.shape[0] > 1:
-        _, s, Vh = np.linalg.svd(coeffs[-1])
-        rank = int(np.sum(s > sv_tol))
-        if rank == 0:
-            raise NotFactorableError("leading coefficient is numerically zero", float(s[0]), len(peeled))
-        if rank == N:
-            leak = float(np.abs(coeffs[0]).max())
-            if leak > leak_tol:
-                raise NotFactorableError(
-                    "full-rank leading coefficient with nonzero constant term", leak, len(peeled)
-                )
-            # z*I = (I - P + zP)(I - (I-P) + z(I-P)) for any projection P;
-            # emit the pair right factor first, then divide the loop by z.
-            head = np.zeros((N - 1, N), dtype=np.complex128)
-            head[:, 1:] = np.eye(N - 1)
-            tail = np.zeros((1, N), dtype=np.complex128)
-            tail[0, 0] = 1.0
-            peeled.append(tail)
-            peeled.append(head)
-            coeffs = _prune(coeffs[1:])
-            continue
-        candidates = [Vh[:rank].conj()]  # orthonormal rows spanning range(A_D^*)
-        _, s0, Vh0 = np.linalg.svd(coeffs[0])
-        s0 = np.concatenate([s0, np.zeros(N - s0.size)])
-        if int(np.sum(s0 <= sv_tol)) == rank:
-            candidates.append(Vh0[N - rank :].conj())  # rows spanning ker(A_0)
-        best = None
-        for vectors in candidates:
-            P = _projection(vectors)
-            leak = float(np.abs(coeffs[0] @ P).max())
-            drop = float(np.abs(coeffs[-1] @ (eye - P)).max())
-            if best is None or max(leak, drop) < best[0]:
-                best = (max(leak, drop), vectors, P)
-        residual, vectors, P = best
-        if residual > leak_tol:
-            raise NotFactorableError(
-                "constant term not annihilated by the extracted projection", residual, len(peeled)
-            )
-        coeffs = _prune(coeffs[:-1] @ (eye - P) + coeffs[1:] @ P)
+    peeled: list[np.ndarray] = []  # spin vectors in peel order (rightmost factor first)
+    for _ in range(m):
+        vectors = np.linalg.svd(coeffs[0])[2][-1:].conj()  # spans ker A_0
+        P = _projection(vectors)
+        coeffs[:-1] = coeffs[:-1] @ (eye - P) + coeffs[1:] @ P
+        coeffs[-1] = coeffs[-1] @ (eye - P)
         peeled.append(vectors)
-    sf = SpinFactorization(N, coeffs[0], tuple(reversed(peeled)))
+    u, _, vh = np.linalg.svd(coeffs[0])
+    sf = SpinFactorization(N, u @ vh, tuple(reversed(peeled)))
     back = synthesize_from_spins(sf).coeffs
     diff = np.zeros((max(back.shape[0], loop.coeffs.shape[0]), N, N), dtype=np.complex128)
     diff[: back.shape[0]] = back

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spin_bank, random_spins, random_unitary
 from wavebank import (
@@ -261,10 +263,47 @@ def test_factor_pure_delay():
     for N in (2, 3):
         z_eye = PolyLoop(N, np.stack([np.zeros((N, N)), np.eye(N)]).astype(complex))
         sf = factor_to_spins(z_eye)
-        assert len(sf.factors) == 2
-        assert all(1 <= vecs.shape[0] <= N - 1 for vecs in sf.factors)
+        assert len(sf.factors) == N
+        assert all(vecs.shape[0] == 1 for vecs in sf.factors)
         back = synthesize_from_spins(sf)
         assert np.abs(back.coeffs - z_eye.coeffs).max() <= 1e-14
+
+
+def test_factor_loops_a_rank_threshold_refused():
+    # exact loops whose leading coefficient is tiny (largest singular value
+    # 2.0e-11 at seed 10), so any absolute rank cut on it would refuse them
+    for seed in (7, 10):
+        loop = synthesize_from_spins(random_spins(np.random.default_rng(seed), 4, 24))
+        sf = factor_to_spins(loop)
+        assert len(sf.factors) == 24 and all(vecs.shape[0] == 1 for vecs in sf.factors)
+        back = synthesize_from_spins(sf)
+        assert back.degree == loop.degree
+        assert np.abs(back.coeffs - loop.coeffs).max() <= 1e-10
+
+
+def test_factor_splits_a_rank_two_factor_into_rank_one_factors():
+    # the number of rank-one factors is the winding number of det A(z), the sum
+    # of the ranks (test_factor_pure_delay covers z*I, whose factor has rank N)
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+    spins = SpinFactorization(4, random_unitary(rng, 4), (q.T.conj(), random_spins(rng, 4, 1).factors[0]))
+    loop = synthesize_from_spins(spins)
+    sf = factor_to_spins(loop)
+    assert [vecs.shape[0] for vecs in sf.factors] == [1, 1, 1]
+    back = synthesize_from_spins(sf)
+    assert back.degree == loop.degree == 2
+    assert np.abs(back.coeffs - loop.coeffs).max() <= 1e-12
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_factor_peels_k_rank_one_factors_off_k_spins(N, k, seed):
+    loop = synthesize_from_spins(random_spins(np.random.default_rng(seed), N, k))
+    sf = factor_to_spins(loop)
+    assert len(sf.factors) == k and all(vecs.shape[0] == 1 for vecs in sf.factors)
+    back = synthesize_from_spins(sf)
+    assert back.degree == loop.degree
+    assert np.abs(back.coeffs - loop.coeffs).max() <= 1e-12
 
 
 def test_factor_rejects_non_paraunitary():
@@ -299,12 +338,14 @@ def test_refusal_names_the_step_and_the_conditioning():
         assert exc.value.step == k
         assert exc.value.conditioning == pytest.approx(expected, rel=1e-6)
         assert f"at step {k}, conditioning {exc.value.conditioning:.3e} (residual " in str(exc.value)
-    # a refusal inside the peel names its step and no conditioning
+    # a non-paraunitary loop is refused by the same round trip, after its one peel step
     coeffs = filters_to_loop(preset_bank("db4")).coeffs.copy()
     coeffs[1, 0, 0] += 1e-3
-    with pytest.raises(NotFactorableError, match=r"at step 0 \(residual ") as exc:
+    with pytest.raises(NotFactorableError, match="re-synthesize") as exc:
         factor_to_spins(PolyLoop(2, coeffs))
-    assert exc.value.step == 0 and exc.value.conditioning is None
+    assert exc.value.step == 1 and exc.value.conditioning is not None
+    assert exc.value.residual > 1e-8
+    assert f"at step 1, conditioning {exc.value.conditioning:.3e} (residual " in str(exc.value)
 
 
 def test_left_unitary_twist_changes_only_v():
