@@ -4,8 +4,8 @@ A scale-N orthogonal bank defines N isometries ``(S_j xi)_k =
 N^{-1/2} sum_l a^{(j)}_{k - N l} xi_l`` with orthogonal ranges that sum to the
 identity.  On an L-periodic index set (N dividing L, L at least the tap span)
 those relations hold exactly, which makes desk-scale verification possible
-without truncation artifacts; a truncated bi-infinite model is kept only for
-the half-line invariance probe.
+without truncation artifacts.  The half-line invariance probe needs no
+operator at all: its leaks are tail norms of the taps.
 
 Reducibility is decided structurally on the polyphase loop: the system is
 reducible exactly when the loop carries a monomial corner, i.e. standard
@@ -47,9 +47,8 @@ __all__ = [
 CUNTZ_TOL = 1e-12
 LADDER_TOL = 1e-10
 PROBE_TOL = 1e-10
-# The largest half-line probe window K: the probe holds one channel's dense
-# complex (2K+1)^2 operator and its adjoint at a time, 268 MB each at this K,
-# and about 600 MB at its peak.
+# The largest half-line probe window K, a plain bound: the probe's cost does
+# not grow with K, and no window past 2 N g checks a further tap.
 PROBE_MAX_WINDOW = 2048
 # Column norms below this count as zero when `detect_monomial_corner` looks
 # for monomial columns; two orders above the accumulation error at desk degrees.
@@ -266,16 +265,16 @@ class ProbeReport:
 def invariant_subspace_probe(bank: FilterBank, K: int, tol: float = PROBE_TOL) -> ProbeReport:
     """Test whether the half-line ``l^2({0, 1, 2, ...})`` is invariant.
 
-    The bank's operators are truncated to the index window ``[-K, K]`` and
-    applied to the half-line basis vectors lying at least one tap span away
-    from the window edge; ``residual`` is the worst norm leaking to negative
-    indices under any ``S_j`` or ``S_j^*``.  A residual at or below ``tol``
-    certifies a reducing subspace of this particular family; a larger one only
-    rules the half-line out, it does not certify irreducibility.
-
-    Each channel's operator is a dense ``(2K+1)^2`` complex matrix, built
-    with its conjugate transpose; one channel's pair is alive at a time, so
-    the probe peaks at about ``2.25 * 16 (2K+1)^2`` bytes.
+    ``residual`` is the worst norm that any ``S_j`` or ``S_j^*`` moves from a
+    half-line basis vector ``e_k``, ``0 <= k <= K - span``, to negative
+    indices.  Every tap offset is nonnegative, so ``S_j`` moves none, and
+    ``S_j^* e_k`` leaks the tail of the residue class of ``k`` mod N:
+    ``sqrt(sum_{l >= 1} |a^{(j)}_{k + N l}|^2 / N)``.  The probe thus tests tap
+    support, and finds a candidate only when every checked tail is zero (up
+    to ``tol``), as for Haar; the window matters only through the range of
+    ``k``.  A candidate certifies a reducing subspace of this particular
+    family; a larger residual only rules the half-line out, it does not
+    certify irreducibility.
     """
     N = bank.N
     span = max(f.span for f in bank.filters)
@@ -284,36 +283,15 @@ def invariant_subspace_probe(bank: FilterBank, K: int, tol: float = PROBE_TOL) -
     if K > PROBE_MAX_WINDOW:
         raise ValueError(
             f"window K = {K} is too large: at most {PROBE_MAX_WINDOW}, "
-            "since the probe holds dense (2K+1)^2 matrices"
+            "the largest window the probe accepts"
         )
-    residual = 0.0
-    for f in bank.filters:
-        residual = max(residual, *_half_line_leaks(f, N, K, span))
+    # power[j, r, c] = |a^{(j)}_{N r + c}|^2 / N; tails[j, r, c] sums it over rows r' >= r
+    power = np.abs(bank.dense_taps() / math.sqrt(N)).reshape(N, bank.g, N) ** 2
+    tails = np.cumsum(power[:, ::-1], axis=1)[:, ::-1]
+    # the leak of e_k, k = N r + c, is the strict tail tails[j, r + 1, c]
+    leaks = tails[:, 1:].reshape(N, -1)[:, : K - span + 1]
+    residual = math.sqrt(float(leaks.max(initial=0.0)))
     return ProbeReport(residual <= tol, residual, K)
-
-
-def _half_line_leaks(f: FilterCoeffs, N: int, K: int, span: int) -> tuple[float, float]:
-    """The worst half-line leaks of one channel's ``S_j`` and ``S_j^*`` on ``[-K, K]``.
-
-    A function of its own, so that one channel's dense operator and its
-    adjoint are freed before the next channel's are built.
-    """
-    size = 2 * K + 1
-    k_idx = np.arange(-K, K + 1)
-    safe = slice(K, 2 * K + 1 - span)  # array rows/cols of indices 0 .. K - span
-    neg = slice(0, K)  # array rows/cols of indices -K .. -1
-    T = np.zeros((size, size), dtype=np.complex128)
-    for i, c in enumerate(f.taps):
-        t = f.offset + i
-        # entries T[k, l] = a_{k - N l} / sqrt(N) at k = N l + t
-        l = k_idx
-        k = N * l + t
-        keep = (k >= -K) & (k <= K)
-        T[k[keep] + K, l[keep] + K] = c / math.sqrt(N)
-    fwd_leak = np.linalg.norm(T[neg, safe], axis=0).max()
-    adj = T.conj().T
-    adj_leak = np.linalg.norm(adj[neg, safe], axis=0).max()
-    return float(fwd_leak), float(adj_leak)
 
 
 def stretched_haar_adjusted(k: int) -> FilterBank:

@@ -8,13 +8,15 @@ index bookkeeping with no arithmetic beyond the ``sqrt(N)`` scaling.
 Degree-one elementary factors ``I - P + z P`` built from orthogonal
 projections generate every polynomial loop; `synthesize_from_spins` expands a
 constant unitary times such factors, and `factor_to_spins` peels rank-one
-factors back off, as many as the winding number of ``det A(z)``.
+factors back off, as many as the winding number of ``det A(z)``, from the
+loop or, when that misses the round trip, from its transpose.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -44,12 +46,12 @@ _PRUNE_TOL = 1e-12
 class NotFactorableError(ValueError):
     """The peeled factors do not re-synthesize the loop within ``ROUNDTRIP_TOL``.
 
-    The input is not numerically paraunitary, or the peel lost accuracy.
-    ``step`` is the number of factors peeled, and ``conditioning =
-    |P_1 P_2 ... P_k|_2`` of the refused factors is the factor by which the
-    coefficient form shrinks the leading coefficient (``prod |<v_i, v_{i+1}>|``
-    for rank-one factors).  Both are optional for callers that raise it
-    without a peel.
+    The input is not numerically paraunitary, or the peel lost accuracy on
+    the loop and on its transpose.  ``step`` is the number of factors peeled,
+    and ``conditioning = |P_1 P_2 ... P_k|_2`` of the refused factors is the
+    factor by which the coefficient form shrinks the leading coefficient
+    (``prod |<v_i, v_{i+1}>|`` for rank-one factors).  Both are optional for
+    callers that raise it without a peel.
     """
 
     def __init__(
@@ -236,33 +238,15 @@ def synthesize_from_spins(sf: SpinFactorization) -> PolyLoop:
     return PolyLoop(N, _prune(coeffs))
 
 
-def factor_to_spins(loop: PolyLoop) -> SpinFactorization:
-    """Peel rank-one spin factors off a unitary loop.
+def _peel(loop: PolyLoop, m: int, transpose: bool) -> tuple[SpinFactorization, int, float]:
+    """Peel ``m`` rank-one factors off ``loop`` (or its transpose), each from ``ker A_0``.
 
-    ``det A(z) = c z^m`` for a unitary loop, and ``m`` (the winding number)
-    is the number of rank-one factors: it is read off the FFT of ``det A`` at
-    ``N * degree + 1`` roots of unity.  Each of the ``m`` steps takes the spin
-    vector ``v`` spanning ``ker A_0`` (the last right singular vector) and
-    multiplies by ``I - P + P/z`` with ``P = v v^*``, keeping every
-    coefficient.  What survives is the constant ``A_0``; its polar factor
-    is ``V``, unitary even when the input is not, so the round trip below is
-    the one judge.  Pure delays and factors of higher rank come out as rank-one
-    factors like every other loop.  The factor list is ordered so that
-    `synthesize_from_spins` reproduces the input.
-
-    Raises NotFactorableError when the factors do not re-synthesize the
-    input: a different degree, or a coefficient off by more than
-    ``ROUNDTRIP_TOL``.  The error names that residual, the step (the number
-    of factors peeled) and the conditioning of the factors.  This happens on
-    inputs that are not numerically paraunitary and when the peel loses
-    accuracy at higher degrees.
+    Returns the factors of ``loop``, the degree they re-synthesize and their
+    worst coefficient error.
     """
     N = loop.N
     eye = np.eye(N, dtype=np.complex128)
-    samples = N * loop.degree + 1
-    dets = np.linalg.det(loop.eval_many(np.exp(2j * np.pi * np.arange(samples) / samples)))
-    m = int(np.argmax(np.abs(np.fft.fft(dets))))
-    coeffs = loop.coeffs.copy()
+    coeffs = (loop.coeffs.transpose(0, 2, 1) if transpose else loop.coeffs).copy()
     peeled: list[np.ndarray] = []  # spin vectors in peel order (rightmost factor first)
     for _ in range(m):
         vectors = np.linalg.svd(coeffs[0])[2][-1:].conj()  # spans ker A_0
@@ -271,21 +255,56 @@ def factor_to_spins(loop: PolyLoop) -> SpinFactorization:
         coeffs[-1] = coeffs[-1] @ (eye - P)
         peeled.append(vectors)
     u, _, vh = np.linalg.svd(coeffs[0])
-    sf = SpinFactorization(N, u @ vh, tuple(reversed(peeled)))
+    V, spins = u @ vh, tuple(reversed(peeled))
+    if transpose:  # A^T = W G(q_1) ... G(q_k) gives A = W^T G(conj(W q_k)) ... G(conj(W q_1))
+        V, spins = V.T, tuple((q @ V.T).conj() for q in reversed(spins))
+    sf = SpinFactorization(N, V, spins)
     back = synthesize_from_spins(sf).coeffs
     diff = np.zeros((max(back.shape[0], loop.coeffs.shape[0]), N, N), dtype=np.complex128)
     diff[: back.shape[0]] = back
     diff[: loop.coeffs.shape[0]] -= loop.coeffs
-    error = float(np.abs(diff).max())
-    if back.shape != loop.coeffs.shape or not error <= ROUNDTRIP_TOL:
-        product = np.eye(N, dtype=np.complex128)
-        for P in sf.projections():
-            product = product @ P
+    return sf, back.shape[0] - 1, float(np.abs(diff).max())
+
+
+def factor_to_spins(loop: PolyLoop) -> SpinFactorization:
+    """Peel rank-one spin factors off a unitary loop.
+
+    ``det A(z) = c z^m`` for a unitary loop, and ``m`` (the winding number),
+    read off the FFT of ``det A`` at ``N * degree + 1`` roots of unity, is the
+    number of rank-one factors.  Each of the ``m`` steps takes the spin vector
+    ``v`` spanning ``ker A_0`` (the last right singular vector) and multiplies
+    by ``I - P + P/z`` with ``P = v v^*``, keeping every coefficient.  The
+    polar factor of the surviving constant ``A_0`` is ``V``, unitary even when
+    the input is not, so the round trip is the one judge.  Pure delays and
+    factors of higher rank come out as rank-one factors like every other
+    loop, ordered so that `synthesize_from_spins` reproduces the input.
+
+    When the round trip misses, the same peel runs once on the transpose,
+    taking each spin from the left kernel of ``A_0``, and the attempt with the
+    smaller error is kept; a loop the first peel factors never reaches it.
+    NotFactorableError is raised when neither attempt re-synthesizes the
+    input (a different degree, or a coefficient off by more than
+    ``ROUNDTRIP_TOL``), naming the kept attempt's residual, step (the number
+    of factors peeled) and conditioning.  This happens on inputs that are not
+    numerically paraunitary and when both peels lose accuracy at high degree.
+    """
+    N = loop.N
+    samples = N * loop.degree + 1
+    dets = np.linalg.det(loop.eval_many(np.exp(2j * np.pi * np.arange(samples) / samples)))
+    m = int(np.argmax(np.abs(np.fft.fft(dets))))
+    sf, degree, error = _peel(loop, m, transpose=False)
+    if degree != loop.degree or not error <= ROUNDTRIP_TOL:
+        retry = _peel(loop, m, transpose=True)
+        _, r_degree, r_error = retry
+        if (r_degree == loop.degree and r_error <= ROUNDTRIP_TOL) or r_error < error:
+            sf, degree, error = retry
+    if degree != loop.degree or not error <= ROUNDTRIP_TOL:
+        product = reduce(np.matmul, sf.projections(), np.eye(N, dtype=np.complex128))
         raise NotFactorableError(
-            f"the factors re-synthesize a degree-{back.shape[0] - 1} loop that misses the "
+            f"the factors re-synthesize a degree-{degree} loop that misses the "
             f"degree-{loop.degree} input by more than {ROUNDTRIP_TOL:.0e}",
             error,
-            len(peeled),
+            len(sf.factors),
             float(np.linalg.norm(product, 2)),
         )
     return sf

@@ -215,7 +215,7 @@ def test_window_and_depth_are_bounded_before_allocating(tmp_path, capsys):
     args = ["irreducibility", str(bank), "--detector", "halfline", "--window", "100000000"]
     assert main(args) == 2
     assert capsys.readouterr().err == (
-        "error: window K = 100000000 is too large: at most 2048, since the probe holds dense (2K+1)^2 matrices\n"
+        "error: window K = 100000000 is too large: at most 2048, the largest window the probe accepts\n"
     )
     out = tmp_path / "phi.csv"
     assert main(["cascade", str(bank), "--depth", "1000", "-o", str(out)]) == 2

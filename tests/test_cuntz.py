@@ -243,6 +243,45 @@ def test_probe_holds_one_channels_operators_at_a_time():
     assert peak < 2.5 * matrix_bytes
 
 
+def dense_half_line_leak(bank, K):
+    """The probe's residual from the truncated bi-infinite model, as an oracle.
+
+    Each channel's ``S_j`` is a dense ``(2K+1)^2`` matrix on ``[-K, K]`` with
+    ``T[k, l] = a_{k - N l} / sqrt(N)``; the leak is the worst column norm that
+    ``T`` or ``T^*`` moves from indices ``0 .. K - span`` to negative ones.
+    """
+    N = bank.N
+    span = max(f.span for f in bank.filters)
+    k_idx = np.arange(-K, K + 1)
+    safe = slice(K, 2 * K + 1 - span)
+    neg = slice(0, K)
+    residual = 0.0
+    for f in bank.filters:
+        T = np.zeros((2 * K + 1, 2 * K + 1), dtype=np.complex128)
+        for i, c in enumerate(f.taps):
+            k = N * k_idx + f.offset + i
+            keep = (k >= -K) & (k <= K)
+            T[k[keep] + K, k_idx[keep] + K] = c / math.sqrt(N)
+        adj = T.conj().T
+        fwd_leak = np.linalg.norm(T[neg, safe], axis=0).max()
+        adj_leak = np.linalg.norm(adj[neg, safe], axis=0).max()
+        residual = max(residual, float(fwd_leak), float(adj_leak))
+        del T, adj
+    return residual
+
+
+def test_probe_matches_the_dense_truncated_model():
+    rng = np.random.default_rng(71)
+    banks = [preset_bank(name) for name in ("haar", "db4", "stretched-haar:1", "stretched-haar:3")]
+    banks += [delta_bank(2), delta_bank(3), stretched_haar_adjusted(2)]
+    banks += [random_spin_bank(rng, N, k) for N, k in ((2, 5), (3, 4), (4, 3), (8, 3))]
+    for bank in banks:
+        for K in (max(32, bank.N * bank.g), 256, 1024):
+            rep = invariant_subspace_probe(bank, K)
+            assert rep.window == K
+            assert abs(rep.residual - dense_half_line_leak(bank, K)) <= 1e-15
+
+
 def test_probe_stretched_haar_leaks_despite_reducibility():
     # The half-line family only captures the box-type case: the stretched bank
     # is reducible (full monomial corner) but its reducing subspaces are not
