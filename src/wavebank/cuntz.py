@@ -3,9 +3,9 @@
 A scale-N orthogonal bank defines N isometries ``(S_j xi)_k =
 N^{-1/2} sum_l a^{(j)}_{k - N l} xi_l`` with orthogonal ranges that sum to the
 identity.  On an L-periodic index set (N dividing L, L at least the tap span)
-those relations hold exactly, which makes desk-scale verification possible
-without truncation artifacts.  The half-line invariance probe needs no
-operator at all: its leaks are tail norms of the taps.
+those relations hold exactly, and `verify_cuntz` reads them off the lag
+products of the polyphase stack folded modulo L/N.  The half-line invariance
+probe needs no operator at all: its leaks are tail norms of the taps.
 
 Reducibility is decided structurally on the polyphase loop: the system is
 reducible exactly when the loop carries a monomial corner, i.e. standard
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import FilterBank, FilterCoeffs
+from .filters import FilterBank, FilterCoeffs, _lag_products, _polyphase_stack
 from .loops import PolyLoop
 
 __all__ = [
@@ -91,18 +91,23 @@ def build_operators(bank: FilterBank, L: int) -> CuntzSystem:
 
 
 def verify_cuntz(sys: CuntzSystem) -> CuntzReport:
-    """Worst-case deviations from ``S_j^* S_k = delta_{jk} I`` and ``sum_j S_j S_j^* = I``."""
-    L, N = sys.L, sys.N
-    eye_small = np.eye(L // N)
-    orth = 0.0
-    for j, Sj in enumerate(sys.ops):
-        for k, Sk in enumerate(sys.ops):
-            gram = Sj.conj().T @ Sk
-            target = eye_small if j == k else 0.0
-            orth = max(orth, float(np.abs(gram - target).max()))
-    total = sum(S @ S.conj().T for S in sys.ops)
-    comp = float(np.abs(total - np.eye(L)).max())
-    return CuntzReport(orth, comp)
+    """Worst-case deviations from ``S_j^* S_k = delta_{jk} I`` and ``sum_j S_j S_j^* = I``.
+
+    No operator is multiplied.  The entries of the ``S_j^* S_k`` are those of
+    ``F_r = sum_{m = r mod L/N} C_m`` for the polyphase stack's lag products
+    (``C_{-m} = C_m^*``), those of ``sum_j S_j S_j^*`` the same fold for the
+    transposed stack; each residual is ``max |F_r - delta_r0 I|``.
+    """
+    N, M, stack = sys.N, sys.L // sys.N, _polyphase_stack(sys.bank)
+    lags, residuals = np.arange(len(stack)), []
+    for A in (stack, stack.transpose(0, 2, 1)):
+        C = _lag_products(A)
+        F = np.zeros((M, N, N), dtype=np.complex128)
+        np.add.at(F, lags % M, C)
+        np.add.at(F, -lags[1:] % M, C[1:].conj().transpose(0, 2, 1))
+        F[0] -= np.eye(N)
+        residuals.append(float(np.abs(F).max()))
+    return CuntzReport(*residuals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +291,7 @@ def invariant_subspace_probe(bank: FilterBank, K: int, tol: float = PROBE_TOL) -
             "the largest window the probe accepts"
         )
     # power[j, r, c] = |a^{(j)}_{N r + c}|^2 / N; tails[j, r, c] sums it over rows r' >= r
-    power = np.abs(bank.dense_taps() / math.sqrt(N)).reshape(N, bank.g, N) ** 2
+    power = np.abs(_polyphase_stack(bank).transpose(1, 0, 2)) ** 2
     tails = np.cumsum(power[:, ::-1], axis=1)[:, ::-1]
     # the leak of e_k, k = N r + c, is the strict tail tails[j, r + 1, c]
     leaks = tails[:, 1:].reshape(N, -1)[:, : K - span + 1]

@@ -12,11 +12,11 @@ Conventions used throughout the package:
   DC-normalized when additionally ``sum_k a^{(0)}_k = N`` (i.e. ``m(1) =
   sqrt(N)``).
 
-`relations_check` decides all of the finitely many relations at once, on the
-polyphase coefficients ``A_d[j, r] = a^{(j)}_{N*d+r} / sqrt(N)``;
-`verify_bank` is that check plus the DC normalization.  The per-channel `orthogonality_check`,
-the sampled `qmf_identity_check` and ``loops.unitarity_check`` each see part
-of the same identities and decide nothing on their own.
+`relations_check` decides them all at once on the lag products of the
+polyphase stack ``A_d[j, r] = a^{(j)}_{N*d+r} / sqrt(N)``; `verify_bank` adds
+the DC sum.  `orthogonality_check`, `qmf_identity_check`,
+``loops.unitarity_check`` and ``cuntz.verify_cuntz`` (the Cuntz relations:
+the products folded modulo the period) are views of the same products.
 
 All operations are pure and deterministic; the container types are treated
 as immutable after construction.
@@ -50,8 +50,8 @@ __all__ = [
     "verify_bank",
 ]
 
-# Algebraic identities evaluated in closed form vs. identities checked by
-# sampling the unit circle (the latter accumulate a little more noise).
+# The default tolerance of the checks, and `qmf_identity_check`'s looser one;
+# both compare the same lag products.
 ALG_TOL = 1e-10
 CIRCLE_TOL = 1e-8
 
@@ -208,19 +208,11 @@ def normalization_check(f: FilterCoeffs, N: int, tol: float = ALG_TOL) -> Normal
 def orthogonality_check(f: FilterCoeffs, N: int, tol: float = ALG_TOL) -> OrthogonalityReport:
     """Check translate orthonormality ``sum_k a_{k+N*l} conj(a_k) = N delta_l``.
 
-    Every lag ``l`` with a nonempty overlap is evaluated; negative lags are
-    conjugates of positive ones, so ``worst_lag`` is reported nonnegative.
-    The correlation is invariant under a common index shift, so the offset
-    plays no role here.
+    This is `relations_check` on the taps' one-row stack (padded to a multiple
+    of N, in rows of N), ``worst_lag`` its lag; an index shift, the offset, changes nothing.
     """
-    a = f.taps
-    devs = [
-        float(abs(np.vdot(a[: a.size - N * l], a[N * l :]) - (N if l == 0 else 0.0)))
-        for l in range((a.size - 1) // N + 1)
-    ]
-    worst_lag = int(np.argmax(devs))  # the first maximum, or the first NaN
-    residual = devs[worst_lag]
-    return OrthogonalityReport(residual <= tol, worst_lag, residual, tol)
+    rep = relations_check(np.pad(f.taps, (0, -f.taps.size % N)).reshape(-1, 1, N) / math.sqrt(N), tol)
+    return OrthogonalityReport(rep.passed, rep.worst[0], rep.residual, tol)
 
 
 def symbol_eval(f: FilterCoeffs, N: int, z: complex) -> complex:
@@ -235,44 +227,48 @@ def symbol_eval(f: FilterCoeffs, N: int, z: complex) -> complex:
 def qmf_identity_check(
     f: FilterCoeffs, N: int, num_samples: int = 256, tol: float = CIRCLE_TOL
 ) -> QmfReport:
-    """Check ``sum_{k<N} |m(z e^{2 pi i k / N})|^2 = N`` at sampled circle points."""
+    """Check ``sum_{k<N} |m(z e^{2 pi i k / N})|^2 = N`` on the whole circle.
+
+    The left side is ``sum_l z^{N l} sum_n a_{n+N*l} conj(a_n)``, so the residual
+    is `orthogonality_check`'s; ``num_samples`` is only validated and reported.
+    """
     if num_samples < 1:
         raise ValueError("num_samples must be at least 1")
-    z = np.exp(2j * np.pi * np.arange(num_samples) / num_samples)
-    rot = np.exp(2j * np.pi * np.arange(N) / N)
-    pts = z[:, None] * rot[None, :]
-    powers = pts[..., None] ** np.arange(f.offset, f.span)
-    vals = powers @ f.taps / math.sqrt(N)
-    totals = np.sum(np.abs(vals) ** 2, axis=1)
-    max_residual = float(np.max(np.abs(totals - N)))
-    return QmfReport(max_residual <= tol, max_residual, num_samples, tol)
+    residual = orthogonality_check(f, N).residual
+    return QmfReport(residual <= tol, residual, num_samples, tol)
 
 
 def _polyphase_stack(bank: FilterBank) -> np.ndarray:
-    """The unpruned ``(g, N, N)`` stack ``A_d[j, r] = a^{(j)}_{Nd+r} / sqrt(N)``."""
-    N, g = bank.N, bank.g
-    return bank.dense_taps().reshape(N, g, N).transpose(1, 0, 2) / math.sqrt(N)
+    """The unpruned stack ``A_d[j, r] = a^{(j)}_{Nd+r} / sqrt(N)``, ``d < ceil(span / N)``."""
+    N, D = bank.N, -(-max(f.span for f in bank.filters) // bank.N)
+    dense = np.stack([f.dense(N * D) for f in bank.filters])
+    return dense.reshape(N, D, N).transpose(1, 0, 2) / math.sqrt(N)
+
+
+def _lag_products(A: np.ndarray) -> np.ndarray:
+    """The lag products ``C_m = sum_d A_{d+m} A_d^*``, ``m < D``; ``C_{-m} = C_m^*``."""
+    D = A.shape[0]
+    return np.stack([np.einsum("dik,djk->ij", A[m:], A[: D - m].conj()) for m in range(D)])
 
 
 def relations_check(coeffs, tol: float = ALG_TOL) -> RelationsReport:
     """Check ``C_m = sum_d A_{d+m} A_d^* = delta_m0 I`` for ``m = 0..D-1``.
 
-    ``coeffs`` is a polyphase stack ``(A_0, ..., A_{D-1})`` of ``N x N``
-    matrices, a bank's or a loop's.  The ``C_m`` are the Laurent coefficients
-    of ``A(z) A(z)^*`` (those at ``-m`` are their adjoints), so the identity
-    ``A(z) A(z)^* = I`` holds exactly when every ``C_m`` matches; for a bank,
-    ``N C_m[i, j] = sum_k a^{(i)}_{k+N*m} conj(a^{(j)}_k)``.
+    ``coeffs`` is a polyphase stack ``(A_0, ..., A_{D-1})`` of ``R x N``
+    matrices, a bank's or a loop's (``R = N``) or one channel's (``R = 1``).
+    The ``C_m`` are its `_lag_products`, so ``A(z) A(z)^* = I`` holds exactly
+    when every ``C_m`` matches; for a bank, ``N C_m[i, j] = sum_k
+    a^{(i)}_{k+N*m} conj(a^{(j)}_k)``.
 
     The residual is on that tap scale: the largest ``N |C_m - delta_m0 I|``
-    entry, so on the diagonal it is the deviation `orthogonality_check`
-    reports for channel ``i`` at lag ``m``.  ``worst`` is its ``(m, i, j)``,
-    the first one on ties or at a NaN.
+    entry (``N`` the columns, ``I`` of the rows), so on the diagonal it is the
+    deviation `orthogonality_check` reports for channel ``i`` at lag ``m``.
+    ``worst`` is its ``(m, i, j)``, the first one on ties or at a NaN.
     """
     A = np.asarray(coeffs, dtype=np.complex128)
-    D, N = A.shape[0], A.shape[1]
-    C = np.stack([np.einsum("dik,djk->ij", A[m:], A[: D - m].conj()) for m in range(D)])
-    C[0] -= np.eye(N)
-    devs = N * np.abs(C)
+    C = _lag_products(A)
+    C[0] -= np.eye(A.shape[1])
+    devs = A.shape[2] * np.abs(C)
     flat = int(np.argmax(devs))  # the first maximum, or the first NaN
     residual = float(devs.flat[flat])
     m, i, j = (int(x) for x in np.unravel_index(flat, devs.shape))

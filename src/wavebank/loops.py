@@ -3,7 +3,8 @@
 A loop is a matrix polynomial ``A(z) = sum_d A_d z^d`` that maps the unit
 circle into the N-by-N unitary group.  Loops and banks carry the same data:
 ``A_d[j, k] = a^{(j)}_{N d + k} / sqrt(N)``, so converting either way is pure
-index bookkeeping with no arithmetic beyond the ``sqrt(N)`` scaling.
+index bookkeeping with no arithmetic beyond the ``sqrt(N)`` scaling, and
+`unitarity_check` is a view of the filters' lag products.
 
 Degree-one elementary factors ``I - P + z P`` built from orthogonal
 projections generate every polynomial loop; `synthesize_from_spins` expands a
@@ -20,7 +21,7 @@ from functools import reduce
 
 import numpy as np
 
-from .filters import FilterBank, _polyphase_stack, coeffs_from_dense, normalization_check
+from .filters import FilterBank, _lag_products, _polyphase_stack, coeffs_from_dense, normalization_check
 
 __all__ = [
     "UNITARITY_TOL",
@@ -198,21 +199,18 @@ def loop_to_filters(loop: PolyLoop) -> FilterBank:
 
 
 def unitarity_check(loop: PolyLoop, num_samples: int | None = None) -> UnitarityReport:
-    """Sample ``max |A(z) A(z)^* - I|`` at equispaced points of the circle.
+    """Check ``A(z) A(z)^* = I`` on its coefficients, ``max |C_m - delta_m0 I|`` of the lag products.
 
-    ``A(z) A(z)^* - I`` is a Laurent polynomial with ``2*degree + 1``
-    coefficients, so a pass at ``num_samples >= 2*degree + 1`` distinct points
-    certifies the polynomial identity itself, not just the samples.
+    ``num_samples``, at least ``2*degree + 1``, is only validated and reported.
     """
     need = 2 * loop.degree + 1
     if num_samples is None:
         num_samples = max(need, 16)
     if num_samples < need:
         raise ValueError(f"need at least {need} samples to certify degree {loop.degree}")
-    zs = np.exp(2j * np.pi * np.arange(num_samples) / num_samples)
-    vals = loop.eval_many(zs)
-    gram = vals @ vals.conj().transpose(0, 2, 1)
-    residual = float(np.abs(gram - np.eye(loop.N)).max())
+    C = _lag_products(loop.coeffs)
+    C[0] -= np.eye(loop.N)
+    residual = float(np.abs(C).max())
     return UnitarityReport(residual <= UNITARITY_TOL, residual, num_samples, UNITARITY_TOL)
 
 

@@ -3,19 +3,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_spin_bank, random_unitary
+from conftest import random_spin_bank, random_spins, random_unitary
 from wavebank import (
+    CuntzSystem,
     FilterBank,
     FilterCoeffs,
     PolyLoop,
     build_operators,
+    coeffs_from_dense,
     detect_monomial_corner,
     filters_to_loop,
     invariant_subspace_probe,
     preset_bank,
     stretched_haar_adjusted,
     subband_ladder,
+    synthesize_from_spins,
     verify_cuntz,
 )
 
@@ -87,6 +92,50 @@ def test_perturbed_taps_break_completeness():
     broken = FilterBank(2, 2, (FilterCoeffs(taps), bank.filters[1]), lowpass_normalized=False)
     rep = verify_cuntz(build_operators(broken, 16))
     assert rep.max_residual_completeness > 1e-4  # perturbation propagates linearly
+
+
+def dense_cuntz_residuals(sys):
+    """The Cuntz residuals from the dense products of the operators, as an oracle."""
+    L, N = sys.L, sys.N
+    eye_small = np.eye(L // N)
+    orth = 0.0
+    for j, Sj in enumerate(sys.ops):
+        for k, Sk in enumerate(sys.ops):
+            gram = Sj.conj().T @ Sk
+            target = eye_small if j == k else 0.0
+            orth = max(orth, float(np.abs(gram - target).max()))
+    total = sum(S @ S.conj().T for S in sys.ops)
+    comp = float(np.abs(total - np.eye(L)).max())
+    return orth, comp
+
+
+def perturbed(bank, channel, tap):
+    dense = bank.dense_taps()
+    dense[channel, tap] += 0.01 + 0.02j
+    filters = tuple(coeffs_from_dense(row) for row in dense)
+    return FilterBank(bank.N, bank.g, filters, lowpass_normalized=False)
+
+
+def test_folded_residuals_match_the_dense_operators():
+    rng = np.random.default_rng(23)
+    banks = [preset_bank(name) for name in ("haar", "db4", "stretched-haar:1", "stretched-haar:3")]
+    banks += [delta_bank(2), delta_bank(3), stretched_haar_adjusted(2)]
+    spins = [random_spin_bank(rng, N, k) for N, k in ((2, 6), (3, 2), (4, 2), (8, 3))]
+    broken = [perturbed(bank, 1, bank.N + 1) for bank in spins]
+    # the two orientations must differ on some bank for a swap of them to show
+    gaps = [abs(o - c) for o, c in (dense_cuntz_residuals(build_operators(b, b.N * b.g)) for b in broken)]
+    assert max(gaps) > 1e-4
+    for bank in banks + spins + broken:
+        N = bank.N
+        D = -(-max(f.span for f in bank.filters) // N)
+        # the smallest period, one whose lags wrap (L/N < 2D - 1), and a large one
+        periods = {N * D, N * max(D, 2 * D - 2), 243 if N == 3 else 256}
+        for L in sorted(periods):
+            # the check reads the bank and the period only, never the operators
+            rep = verify_cuntz(CuntzSystem(bank, L, ()))
+            orth, comp = dense_cuntz_residuals(build_operators(bank, L))
+            assert abs(rep.max_residual_orthogonality - orth) <= 1e-15
+            assert abs(rep.max_residual_completeness - comp) <= 1e-15
 
 
 def test_subband_ladder_haar():
@@ -222,25 +271,26 @@ def test_probe_window_validation():
 
 
 def test_probe_window_is_bounded_before_allocating():
-    # numpy cannot allocate the dense matrices of this window
+    # the bound is checked before the window is used
     with pytest.raises(ValueError, match=r"window K = 100000000 is too large: at most 2048, "):
         invariant_subspace_probe(preset_bank("haar"), 100_000_000)
 
 
-def test_probe_holds_one_channels_operators_at_a_time():
-    # one channel's dense operator and its adjoint are freed before the next
-    # channel's are built: 2.25 matrices at the peak, 3 if a pair outlives its channel
-    K = 256
-    matrix_bytes = 16 * (2 * K + 1) ** 2
-    bank = preset_bank("db4")
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
+def test_probe_memory_does_not_grow_with_the_window():
+    # the probe holds tail sums of the taps and no array as long as the window
+    def peak(bank, K):
         invariant_subspace_probe(bank, K)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * matrix_bytes
+        tracemalloc.start()
+        try:
+            invariant_subspace_probe(bank, K)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rng = np.random.default_rng(72)
+    for bank in (preset_bank("db4"), random_spin_bank(rng, 8, 32)):
+        assert abs(peak(bank, 2048) - peak(bank, max(32, bank.N * bank.g))) <= 256
+    assert peak(preset_bank("db4"), 2048) < 4096
 
 
 def dense_half_line_leak(bank, K):
@@ -327,3 +377,36 @@ def test_stretched_haar_adjusted_exponents_scale_with_k():
     for k in (1, 2, 3):
         corner = detect_monomial_corner(filters_to_loop(stretched_haar_adjusted(k)))
         assert corner.M == 2 and corner.exponents == (0, k)
+
+
+@st.composite
+def cornered_loops(draw):
+    """``U blockdiag(B(z), diag(z^{n_i})) Pi``: a spin loop ``B`` on ``r`` coordinates
+    and ``N - r`` monomials, their columns permuted by ``Pi``; returns the loop,
+    ``r``, the exponents ``n`` and the permutation."""
+    N = draw(st.integers(2, 6))
+    r = draw(st.sampled_from([0, *range(2, N + 1)]))
+    n = draw(st.lists(st.integers(0, 4), min_size=N - r, max_size=N - r))
+    perm = draw(st.permutations(range(N)))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = synthesize_from_spins(random_spins(rng, r, k)).coeffs if r else np.zeros((1, 0, 0))
+    X = np.zeros((max(B.shape[0], max(n, default=0) + 1), N, N), dtype=np.complex128)
+    X[: B.shape[0], :r, :r] = B
+    for i, e in enumerate(n):
+        X[e, r + i, r + i] = 1.0
+    return PolyLoop(N, random_unitary(rng, N) @ X[:, :, perm]), r, n, perm
+
+
+@settings(derandomize=True, deadline=None)
+@given(cornered_loops())
+def test_corner_of_a_built_loop(case):
+    loop, r, n, perm = case
+    rep = detect_monomial_corner(loop)
+    N, M = loop.N, loop.N - r
+    coords = [k for k in range(N) if perm[k] >= r]
+    assert rep.M == M and rep.reducible == (M >= 1)
+    assert rep.exponents == tuple(n[perm[k] - r] for k in coords)
+    assert (rep.confidence == "decisive") == (M in (0, N))
+    for i, (k, e) in enumerate(zip(coords, rep.exponents)):
+        assert np.abs(rep.V[:, i] - loop.coeffs[e][:, k]).max() <= 1e-12

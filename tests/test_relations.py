@@ -1,10 +1,12 @@
 """The orthogonality relations check: the one decider of `verify_bank` and the CLI.
 
 ``relations_check`` reads the Laurent coefficients of ``A(z) A(z)^*`` off the
-polyphase stack.  The properties pin it against the partial checks it
-replaces: the per-channel `orthogonality_check` (its diagonal) and the
-circle-sampled `unitarity_check` at enough points to certify the identity.
+polyphase stack.  The properties pin it against the partial checks, views of
+the same coefficients: the per-channel `orthogonality_check` (its diagonal)
+and the loop's `unitarity_check`.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +61,21 @@ def test_nan_fails_at_the_first_relation_it_reaches():
     stack[1, 1, 0] = np.nan  # a tap of channel 1: C_0[0, 1] is the first entry it spoils
     rep = relations_check(stack)
     assert not rep.passed and np.isnan(rep.residual) and rep.worst == (0, 0, 1)
+
+
+def test_a_declared_genus_beyond_the_taps_costs_nothing():
+    haar = preset_bank("haar")
+    wide = FilterBank(2, 4096, haar.filters)
+    tracemalloc.start()
+    try:
+        report = verify_bank(wide)
+        loop = filters_to_loop(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == verify_bank(haar)
+    assert loop.degree == 0
+    assert peak < 64 * 1024
 
 
 @st.composite
