@@ -9,6 +9,9 @@ Exit codes: 0 success, 1 verification failure (that step, a non-factorable
 loop, or contradictory decisive irreducibility verdicts), 2 input or parse
 errors.  No environment variables are consulted and every run is
 deterministic for fixed inputs; reports always state the tolerance they used.
+
+Importing this module loads only `filters` and `storage`; each verb imports
+the modules it runs, so a verb's start-up pays for no other verb's modules.
 """
 
 from __future__ import annotations
@@ -17,8 +20,13 @@ import argparse
 import math
 import sys
 
-from . import cascade as casc
-from . import cuntz, filters, loops, storage, transform
+from . import filters, storage
+
+# Copies of bounds that the parser prints or uses as defaults, so that building
+# it imports neither module; tests pin each to the module's constant.
+CASCADE_TOL = 1e-9  # cascade.CASCADE_TOL
+CASCADE_MAX_SAMPLES = 2**22  # cascade.CASCADE_MAX_SAMPLES
+PROBE_MAX_WINDOW = 2048  # cuntz.PROBE_MAX_WINDOW
 
 
 class VerificationError(Exception):
@@ -43,11 +51,11 @@ def _verify(value, tol: float = filters.ALG_TOL, show: bool = False):
 
     Raises VerificationError naming the failing residual and its tolerance.
     """
-    if isinstance(value, loops.PolyLoop):
-        rel, norm = filters.relations_check(value.coeffs, tol), None
-    else:
+    if isinstance(value, filters.FilterBank):
         report = filters.verify_bank(value, tol)
         rel, norm = report.relations, report.normalization
+    else:  # a loop
+        rel, norm = filters.relations_check(value.coeffs, tol), None
     where = "(m, i, j) = ({}, {}, {})".format(*rel.worst)
     checks = [(rel, f"orthogonality relations: residual {rel.residual:.3e} at {where}, tol {rel.tol:.1e}")]
     if norm is not None:
@@ -63,6 +71,8 @@ def _verify(value, tol: float = filters.ALG_TOL, show: bool = False):
 def _bank_from_design(args) -> filters.FilterBank:
     if args.preset:
         return filters.preset_bank(args.preset)
+    from . import loops
+
     if args.spins:
         return loops.loop_to_filters(loops.synthesize_from_spins(storage.load(args.spins, "spins")))
     return loops.loop_to_filters(storage.load(args.loop, "loop"))
@@ -82,6 +92,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
+    from . import cascade as casc
+
     bank = _verify(storage.load(args.bank, "bank"))
     result = casc.cascade_iterate(bank, args.depth, max_iters=args.max_iters, tol=args.tol)
     print(
@@ -101,6 +113,8 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import transform
+
     bank = _verify(storage.load(args.bank, "bank"))
     signal = storage.load(args.signal, "signal")
     tree = transform.analyze(signal, bank, args.levels)
@@ -110,6 +124,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from . import transform
+
     bank = _verify(storage.load(args.bank, "bank"))
     tree = storage.load(args.tree, "tree")
     signal = transform.synthesize(tree, bank)
@@ -119,6 +135,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_irreducibility(args) -> int:
+    from . import cuntz, loops
+
     bank = _verify(storage.load(args.bank, "bank"))
     span = bank.N * bank.g
     if args.detector != "corner" and not args.window and span > cuntz.PROBE_MAX_WINDOW:
@@ -170,10 +188,16 @@ def _cmd_irreducibility(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    from . import loops
+
     loop = _verify(storage.load_bank_or_loop(args.input))
     if isinstance(loop, filters.FilterBank):
         loop = loops.filters_to_loop(loop)
-    sf = loops.factor_to_spins(loop)
+    try:
+        sf = loops.factor_to_spins(loop)
+    except loops.NotFactorableError as exc:
+        print(f"not factorable: {exc}", file=sys.stderr)
+        return 1
     storage.save(sf, args.output)
     ranks = [vecs.shape[0] for vecs in sf.factors]
     print(f"wrote {args.output} ({len(sf.factors)} factors, ranks {ranks})")
@@ -181,6 +205,8 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_loop(args) -> int:
+    from . import loops
+
     loop = loops.filters_to_loop(_verify(storage.load(args.bank, "bank")))
     storage.save(loop, args.output)
     print(f"wrote {args.output} (degree {loop.degree})")
@@ -212,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bank")
     p.add_argument(
         "--depth", type=int, default=8,
-        help=f"grid step N^-depth (the grid may hold at most {casc.CASCADE_MAX_SAMPLES} samples)",
+        help=f"grid step N^-depth (the grid may hold at most {CASCADE_MAX_SAMPLES} samples)",
     )
     p.add_argument("--max-iters", type=_positive(int), default=60)
-    p.add_argument("--tol", type=_positive(float), default=casc.CASCADE_TOL)
+    p.add_argument("--tol", type=_positive(float), default=CASCADE_TOL)
     p.add_argument("--wavelets", help="also write detail functions to PREFIX<j>.csv")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_cascade)
@@ -238,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detector", choices=("corner", "halfline", "both"), default="corner")
     p.add_argument(
         "--window", type=int, default=0,
-        help=f"half-line probe window (default max(32, N*g), at most {cuntz.PROBE_MAX_WINDOW})",
+        help=f"half-line probe window (default max(32, N*g), at most {PROBE_MAX_WINDOW})",
     )
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_irreducibility)
@@ -262,9 +288,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except VerificationError as exc:
         print(exc, file=sys.stderr)
-        return 1
-    except loops.NotFactorableError as exc:
-        print(f"not factorable: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:  # StorageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,18 @@
 """File formats: JSON for structured values, CSV for signals and samples.
 
 Complex scalars are always serialized as ``[re, im]`` pairs of IEEE-754
-doubles; Python's float formatting is shortest-round-trip, so JSON kinds
-reload bit-exactly and CSV kinds within one ulp.  Every complex array goes
-through one codec (`_array_json`, `_array`) and every JSON text through one
-writer (`json_text`).  Each kind is one row of ``_KIND_TABLE``: the types it
-saves, its encoder and its decoder.  Integer fields must be JSON integers,
-flags JSON booleans, pair entries JSON numbers, and non-finite values are
-rejected both ways.  Writes go through a temporary file and an atomic rename.
+doubles; Python's float formatting is shortest-round-trip, so every kind,
+JSON and CSV, reloads bit for bit, the sign of a zero included.  Every
+complex array goes through one codec (`_array_json`, `_array`) and every JSON
+text through one writer (`json_text`).  Each kind is one row of
+``_KIND_TABLE``: a test for the values it saves, its encoder and its decoder.
+Integer fields must be JSON integers, flags JSON booleans, pair entries JSON
+numbers, and non-finite values are rejected both ways.  Writes go through a
+temporary file and an atomic rename.
+
+Only `filters` is imported with this module.  The classes of the other kinds
+are imported by their decoders, and `save` tests a value against a class only
+once its module is loaded: no instance of a class exists before that.
 """
 
 from __future__ import annotations
@@ -15,15 +20,18 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import math
 import os
+import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cascade import SampledFunction
 from .filters import FilterBank, FilterCoeffs
-from .loops import PolyLoop, SpinFactorization
-from .transform import CoeffTree
+
+if TYPE_CHECKING:
+    from .cascade import SampledFunction
+    from .loops import PolyLoop, SpinFactorization
+    from .transform import CoeffTree
 
 __all__ = ["StorageError", "KINDS", "save", "save_report", "load", "atomic_write"]
 
@@ -40,23 +48,34 @@ def _array_json(values) -> list:
 def _array(value, where: str, ndim: int) -> np.ndarray:
     """Decode `_array_json` output of rank ``ndim`` bit for bit.
 
-    The float64 pairs are viewed as complex128, which keeps every bit,
+    The nested lists are flattened one level at a time, each level checked
+    to hold nonempty lists of one length (2 at the last), so the entries'
+    types are scanned once, on the flat list, and one flat float64 array is
+    built.  Its pairs are viewed as complex128, which keeps every bit,
     including the sign of a zero; ``re + 1j*im`` would not.
     """
-    try:
-        parts = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        parts = None
-    if parts is None or parts.ndim != ndim + 1 or parts.shape[-1] != 2:
-        raise StorageError(f"{where}: expected {ndim}-deep nested lists of [re, im] pairs")
-    entries = value
-    for _ in range(ndim):
-        entries = itertools.chain.from_iterable(entries)
-    if not set(map(type, entries)) <= {int, float}:
+    not_pairs = f"{where}: expected {ndim}-deep nested lists of [re, im] pairs"
+    shape, entries = [], [value]
+    for _ in range(ndim + 1):
+        if set(map(type, entries)) != {list}:
+            raise StorageError(not_pairs)
+        lengths = set(map(len, entries))
+        if len(lengths) != 1 or 0 in lengths:
+            raise StorageError(not_pairs)
+        shape += lengths
+        entries = list(itertools.chain.from_iterable(entries))
+    types = set(map(type, entries))
+    if shape[-1] != 2 or list in types:
+        raise StorageError(not_pairs)
+    if not types <= {int, float}:
         raise StorageError(f"{where}: [re, im] entries must be JSON numbers")
+    try:
+        parts = np.array(entries, dtype=np.float64)
+    except OverflowError:  # a JSON integer beyond the largest double
+        raise StorageError(f"{where}: non-finite value") from None
     if not np.isfinite(parts).all():
         raise StorageError(f"{where}: non-finite value")
-    return parts.view(np.complex128)[..., 0]
+    return parts.view(np.complex128).reshape(shape[:-1])
 
 
 def _get(d: dict, key: str, where: str):
@@ -121,6 +140,8 @@ def loop_to_dict(loop: PolyLoop) -> dict:
 
 
 def loop_from_dict(d: dict) -> PolyLoop:
+    from .loops import PolyLoop
+
     return PolyLoop(_int(d, "N", "loop"), _array(_get(d, "coeffs", "loop"), "loop.coeffs", 3))
 
 
@@ -133,6 +154,8 @@ def spins_to_dict(sf: SpinFactorization) -> dict:
 
 
 def spins_from_dict(d: dict) -> SpinFactorization:
+    from .loops import SpinFactorization
+
     V = _array(_get(d, "V", "spins"), "spins.V", 2)
     factors = [
         _array(_get(entry, "vectors", f"spins.factors[{i}]"), f"spins.factors[{i}].vectors", 2)
@@ -151,6 +174,8 @@ def tree_to_dict(tree: CoeffTree) -> dict:
 
 
 def tree_from_dict(d: dict) -> CoeffTree:
+    from .transform import CoeffTree
+
     details = [
         tuple(_array(channels, f"tree.details[{n}]", 2))
         for n, channels in enumerate(_list(d, "details", "tree"))
@@ -172,26 +197,59 @@ def _csv_text(header: str, first: np.ndarray, values: np.ndarray) -> str:
     return "\n".join([header, *(f"{a!r},{re!r},{im!r}" for a, re, im in rows)]) + "\n"
 
 
+# Lines parsed at a time: only one block's fields are held as strings at once.
+_CSV_BLOCK = 4096
+
+
+def _csv_rows(lines: list, first_type, out: np.ndarray) -> tuple[list | None, str]:
+    """Parse rows ``first,re,im`` into ``out``, two float64s a row.
+
+    Returns the first column, converted by ``first_type``, and ``""``; or
+    ``None`` and what is wrong with the rows.  The rows are checked for
+    exactly two commas each, split once, and converted a column at a time
+    by ``first_type`` and ``float``, so a field is accepted exactly when
+    they accept it.  On one line the checks come in the order the reasons
+    are listed: field count, numbers, finiteness.
+    """
+    if set(map(str.count, lines, itertools.repeat(","))) != {2}:
+        return None, "expected 3 comma-separated fields"
+    fields = ",".join(lines).split(",")
+    try:
+        first = list(map(first_type, fields[::3]))
+        del fields[::3]
+        out[:] = list(map(float, fields))
+    except ValueError:
+        return None, "non-numeric field"
+    # an int is always finite (and may be too large for a float64)
+    if not (np.isfinite(out).all() and (first_type is int or np.isfinite(first).all())):
+        return None, "non-finite field"
+    return first, ""
+
+
 def _csv_parse(path: str, kind: str, header: str, first_type) -> tuple[list, np.ndarray]:
+    """The first column as a list and the values as complex128, bit for bit.
+
+    The body is parsed in blocks of `_CSV_BLOCK` lines into one float64
+    array of ``[re, im]`` pairs.  A block that fails is parsed again line by
+    line, only to name its first bad line, so the first bad line of the file
+    is the one reported.
+    """
     lines = _read(path, kind).strip().splitlines()
     if not lines or lines[0].strip() != header:
         raise StorageError(f"{path}:1: expected header {header!r}")
-    firsts, values = [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise StorageError(f"{path}:{ln}: expected 3 comma-separated fields")
-        try:
-            first, re, im = first_type(parts[0]), float(parts[1]), float(parts[2])
-        except ValueError:
-            raise StorageError(f"{path}:{ln}: non-numeric field") from None
-        if not (math.isfinite(first) and math.isfinite(re) and math.isfinite(im)):
-            raise StorageError(f"{path}:{ln}: non-finite field")
-        firsts.append(first)
-        values.append(complex(re, im))
-    if not values:
+    rows = len(lines) - 1
+    if not rows:
         raise StorageError(f"{path}: file holds no rows")
-    return firsts, np.array(values)
+    firsts, pairs = [], np.empty(2 * rows)
+    for row in range(0, rows, _CSV_BLOCK):
+        block = lines[1 + row : 1 + row + _CSV_BLOCK]
+        first = _csv_rows(block, first_type, pairs[2 * row : 2 * (row + len(block))])[0]
+        if first is None:
+            for ln, line in enumerate(block, start=row + 2):
+                if reason := _csv_rows([line], first_type, np.empty(2))[1]:
+                    raise StorageError(f"{path}:{ln}: {reason}")
+        firsts += first
+    return firsts, pairs.view(np.complex128)
 
 
 def _signal_to_text(obj) -> str:
@@ -203,9 +261,9 @@ def _signal_to_text(obj) -> str:
 
 def _signal_from_file(path: str) -> np.ndarray:
     index, values = _csv_parse(path, "signal", "index,re,im", int)
-    for i, idx in enumerate(index):
-        if idx != i:
-            raise StorageError(f"{path}:{i + 2}: index {idx} out of order")
+    if index != list(range(len(index))):
+        i = next(i for i, idx in enumerate(index) if idx != i)
+        raise StorageError(f"{path}:{i + 2}: index {index[i]} out of order")
     return values
 
 
@@ -260,23 +318,37 @@ def json_text(data) -> str:
         raise StorageError("cannot store non-finite values") from None
 
 
-def _json_kind(kind: str, cls: type, to_dict, from_dict) -> tuple:
+def _instances_of(module: str, name: str):
+    """A test for instances of the class ``name`` of a package module, importing nothing.
+
+    No instance of a class exists before its module is loaded, so while the
+    module is not in ``sys.modules`` the answer is no.
+    """
+
+    def test(obj) -> bool:
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        return loaded is not None and isinstance(obj, getattr(loaded, name))
+
+    return test
+
+
+def _json_kind(kind: str, saves, to_dict, from_dict) -> tuple:
     return (
-        (cls,),
+        saves,
         lambda obj: json_text(to_dict(obj)),
         lambda path: _from_json(path, kind, from_dict, _read_json(path, kind)),
     )
 
 
-# kind -> (the types it saves, value -> text, path -> value)
+# kind -> (a test for the values it saves, value -> text, path -> value)
 _KIND_TABLE = {
-    "bank": _json_kind("bank", FilterBank, bank_to_dict, bank_from_dict),
-    "loop": _json_kind("loop", PolyLoop, loop_to_dict, loop_from_dict),
-    "spins": _json_kind("spins", SpinFactorization, spins_to_dict, spins_from_dict),
-    "signal": ((np.ndarray, list, tuple), _signal_to_text, _signal_from_file),
-    "tree": _json_kind("tree", CoeffTree, tree_to_dict, tree_from_dict),
+    "bank": _json_kind("bank", _instances_of("filters", "FilterBank"), bank_to_dict, bank_from_dict),
+    "loop": _json_kind("loop", _instances_of("loops", "PolyLoop"), loop_to_dict, loop_from_dict),
+    "spins": _json_kind("spins", _instances_of("loops", "SpinFactorization"), spins_to_dict, spins_from_dict),
+    "signal": (lambda obj: isinstance(obj, (np.ndarray, list, tuple)), _signal_to_text, _signal_from_file),
+    "tree": _json_kind("tree", _instances_of("transform", "CoeffTree"), tree_to_dict, tree_from_dict),
     "samples": (
-        (SampledFunction,),
+        _instances_of("cascade", "SampledFunction"),
         lambda f: _csv_text("x,re,im", f.grid(), f.values),
         _samples_from_file,
     ),
@@ -311,8 +383,8 @@ def _write(path: str, kind: str, text: str) -> None:
 
 def save(obj, path: str) -> None:
     """Write a value in the format of its kind (dispatch on type)."""
-    for kind, (types, encode, _) in _KIND_TABLE.items():
-        if isinstance(obj, types):
+    for kind, (saves, encode, _) in _KIND_TABLE.items():
+        if saves(obj):
             _write(path, kind, encode(obj))
             return
     raise StorageError(f"no storage kind for object of type {type(obj).__name__}")

@@ -315,3 +315,19 @@ def test_samples_option_is_gone(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments: --samples" in capsys.readouterr().err
+
+
+def test_a_refused_peel_exits_1_naming_it(tmp_path, capsys, monkeypatch):
+    from wavebank import loops
+
+    def refuse(loop):
+        raise loops.NotFactorableError("injected", 1.0)
+
+    monkeypatch.setattr(loops, "factor_to_spins", refuse)
+    path = tmp_path / "loop.json"
+    save(filters_to_loop(preset_bank("db4")), str(path))
+    out = tmp_path / "spins.json"
+    assert main(["factor", str(path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("not factorable: injected") and err.count("\n") == 1
+    assert not out.exists()

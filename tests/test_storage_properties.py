@@ -1,4 +1,4 @@
-"""Property tests of the JSON codec: bit-exact round trips and strict decoding.
+"""Property tests of the codecs: bit-exact round trips and strict decoding.
 
 Values are compared through their ``uint64`` views, because ``np.array_equal``
 treats ``-0.0`` and ``0.0`` as equal and so cannot see a lost sign.
@@ -17,6 +17,7 @@ from wavebank import (
     FilterBank,
     FilterCoeffs,
     PolyLoop,
+    SampledFunction,
     SpinFactorization,
     StorageError,
     analyze,
@@ -139,6 +140,52 @@ def test_spins_round_trip_keeps_every_bit(tmp_path_factory, sf):
 @given(trees())
 def test_tree_round_trip_keeps_every_bit(tmp_path_factory, tree):
     _assert_round_trip(tmp_path_factory, "tree", tree)
+
+
+vectors = st.integers(1, 40).flatmap(lambda n: complex_arrays((n,)))
+
+
+@st.composite
+def sampled_functions(draw):
+    values = draw(vectors)
+    return SampledFunction(values, draw(st.integers(2, 4)), draw(st.integers(0, 3)), draw(st.integers(-20, 20)))
+
+
+def _assert_csv_round_trip(tmp_path_factory, kind, value):
+    path = tmp_path_factory.mktemp(kind) / f"{kind}.csv"
+    save(value, str(path))
+    back = load(str(path), kind)
+    if kind == "samples":
+        xs, back = back
+        assert np.array_equal(xs.view(np.uint64), value.grid().view(np.uint64))
+        value, again_value = value.values, SampledFunction(back, value.scale, value.depth, value.start)
+    else:
+        again_value = back
+    assert back.shape == value.shape and np.array_equal(bits(back), bits(value))
+    again = path.with_name("again.csv")
+    save(again_value, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+@SETTINGS
+@given(vectors)
+def test_signal_round_trip_keeps_every_bit(tmp_path_factory, x):
+    _assert_csv_round_trip(tmp_path_factory, "signal", x)
+
+
+@SETTINGS
+@given(sampled_functions())
+def test_samples_round_trip_keeps_every_bit(tmp_path_factory, f):
+    _assert_csv_round_trip(tmp_path_factory, "samples", f)
+
+
+def test_signal_round_trip_across_parse_blocks(tmp_path_factory):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000)
+    edges = np.array(EDGES)
+    x.real[4090:4090 + edges.size] = edges
+    x.imag[8190:8190 + edges.size] = edges[::-1]
+    _assert_csv_round_trip(tmp_path_factory, "signal", x)
 
 
 json_values = st.recursive(
