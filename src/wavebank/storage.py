@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -45,32 +46,41 @@ def _array_json(values) -> list:
     return np.stack([values.real, values.imag], -1).tolist()
 
 
+def _nested(value, depth: int):
+    """The entries ``depth`` lists deep in ``value``, in order, as one iterator."""
+    entries = iter([value])
+    for _ in range(depth):
+        entries = itertools.chain.from_iterable(entries)
+    return entries
+
+
 def _array(value, where: str, ndim: int) -> np.ndarray:
     """Decode `_array_json` output of rank ``ndim`` bit for bit.
 
-    The nested lists are flattened one level at a time, each level checked
-    to hold nonempty lists of one length (2 at the last), so the entries'
-    types are scanned once, on the flat list, and one flat float64 array is
-    built.  Its pairs are viewed as complex128, which keeps every bit,
+    Each level of the nested lists is checked to hold nonempty lists of one
+    length (2 at the last), the entries' types are scanned once, and one
+    flat float64 array is filled from them.  The levels are walked as
+    iterators: a list of every entry, built and freed per array, left a
+    process that had loaded a few 2^16-coefficient trees holding about 2 MB
+    more memory.  The pairs are viewed as complex128, which keeps every bit,
     including the sign of a zero; ``re + 1j*im`` would not.
     """
     not_pairs = f"{where}: expected {ndim}-deep nested lists of [re, im] pairs"
-    shape, entries = [], [value]
-    for _ in range(ndim + 1):
-        if set(map(type, entries)) != {list}:
+    shape = []
+    for depth in range(ndim + 1):
+        if set(map(type, _nested(value, depth))) != {list}:
             raise StorageError(not_pairs)
-        lengths = set(map(len, entries))
+        lengths = set(map(len, _nested(value, depth)))
         if len(lengths) != 1 or 0 in lengths:
             raise StorageError(not_pairs)
         shape += lengths
-        entries = list(itertools.chain.from_iterable(entries))
-    types = set(map(type, entries))
+    types = set(map(type, _nested(value, ndim + 1)))
     if shape[-1] != 2 or list in types:
         raise StorageError(not_pairs)
     if not types <= {int, float}:
         raise StorageError(f"{where}: [re, im] entries must be JSON numbers")
     try:
-        parts = np.array(entries, dtype=np.float64)
+        parts = np.fromiter(_nested(value, ndim + 1), np.float64, math.prod(shape))
     except OverflowError:  # a JSON integer beyond the largest double
         raise StorageError(f"{where}: non-finite value") from None
     if not np.isfinite(parts).all():

@@ -366,6 +366,19 @@ def test_pair_entries_must_be_json_numbers(tmp_path, taps):
 
 
 @pytest.mark.parametrize(
+    "taps",
+    [[], [[1.0, 0.0], [1.0]], [[1.0, 0.0], []], [[[1.0, 0.0]]], [1.0, 0.0], [[1.0, 0.0, 0.0]], [[1.0, [0.0]]], {"re": 1}],
+    ids=["empty", "ragged", "empty-pair", "too-deep", "too-shallow", "triple", "nested-entry", "object"],
+)
+def test_taps_that_are_not_a_list_of_pairs_are_named(tmp_path, taps):
+    path, data = _saved(tmp_path, preset_bank("haar"), "bank.json")
+    data["filters"][0]["taps"] = taps
+    path.write_text(json.dumps(data))
+    with pytest.raises(StorageError, match=r"filters\[0\]\.taps: expected 1-deep nested lists of \[re, im\] pairs$"):
+        load(str(path), "bank")
+
+
+@pytest.mark.parametrize(
     "text, reason",
     [
         ("[" * 100_000 + "]" * 100_000, "recursion"),
