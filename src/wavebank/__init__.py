@@ -20,7 +20,6 @@ _EXPORTS = {
         "normalization_check",
         "orthogonality_check",
         "symbol_eval",
-        "qmf_identity_check",
         "haar_complement",
         "preset_bank",
         "verify_bank",

@@ -5,10 +5,10 @@ Every verb first checks the bank or loop it reads or designs, by
 `filters.verify_bank` or `filters.relations_check` (the one orthogonality
 decider), and computes or writes nothing from one that fails.
 
-Exit codes: 0 success, 1 verification failure (that step, a non-factorable
-loop, or contradictory decisive irreducibility verdicts), 2 input or parse
-errors.  No environment variables are consulted and every run is
-deterministic for fixed inputs; reports always state the tolerance they used.
+Exit codes: 0 success, 1 verification failure (that step or a non-factorable
+loop), 2 input or parse errors.  No environment variables are consulted and
+every run is deterministic for fixed inputs; reports always state the
+tolerance they used.
 
 Importing this module loads only `filters` and `storage`; each verb imports
 the modules it runs, so a verb's start-up pays for no other verb's modules.
@@ -26,7 +26,6 @@ from . import filters, storage
 # it imports neither module; tests pin each to the module's constant.
 CASCADE_TOL = 1e-9  # cascade.CASCADE_TOL
 CASCADE_MAX_SAMPLES = 2**22  # cascade.CASCADE_MAX_SAMPLES
-PROBE_MAX_WINDOW = 2048  # cuntz.PROBE_MAX_WINDOW
 
 
 class VerificationError(Exception):
@@ -139,51 +138,32 @@ def _cmd_irreducibility(args) -> int:
 
     bank = _verify(storage.load(args.bank, "bank"))
     span = bank.N * bank.g
-    if args.detector != "corner" and not args.window and span > cuntz.PROBE_MAX_WINDOW:
+    if args.detector == "both" and span > cuntz.PROBE_MAX_WINDOW:
         raise ValueError(
             f"the bank's tap span N*g = {span} exceeds the half-line probe's largest window "
             f"{cuntz.PROBE_MAX_WINDOW}, so it cannot be probed; use --detector corner"
         )
-    loop = loops.filters_to_loop(bank)
-    window = args.window if args.window else max(32, span)
-
-    corner = cuntz.detect_monomial_corner(loop) if args.detector in ("corner", "both") else None
-    probe = cuntz.invariant_subspace_probe(bank, window) if args.detector in ("halfline", "both") else None
-
-    if corner is not None:
-        report = {
-            "reducible": corner.reducible,
-            "M": corner.M,
-            "exponents": list(corner.exponents),
-            "detector": "corner",
-            "residual": corner.residual,
-            "confidence": corner.confidence,
-        }
-    else:
-        report = {
-            "reducible": probe.candidate_found,
-            "M": 0,
-            "exponents": [],
-            "detector": "halfline",
-            "residual": probe.residual,
-            "confidence": "evidence",
-        }
+    corner = cuntz.detect_monomial_corner(loops.filters_to_loop(bank))
+    report = {
+        "reducible": corner.reducible,
+        "M": corner.M,
+        "exponents": list(corner.exponents),
+        "detector": "corner",
+        "residual": corner.residual,
+        "confidence": corner.confidence,
+    }
     print(storage.json_text(report), end="")
     if args.output:
         storage.save_report(report, args.output)
         print(f"wrote {args.output}")
-
     if args.detector == "both":
+        # a candidate means constant leading loop columns, which the corner
+        # already reports as exponent-0 monomials, so the line decides nothing
+        probe = cuntz.invariant_subspace_probe(bank, max(32, span))
         print(
             f"halfline probe: candidate_found={probe.candidate_found} "
             f"(residual {probe.residual:.3e}, window {probe.window})"
         )
-        # The probe only certifies reducibility when it finds the half-line
-        # invariant; a decisive empty corner contradicting a found candidate
-        # is a genuine inconsistency.
-        if probe.candidate_found and corner.confidence == "decisive" and not corner.reducible:
-            print("decisive-mode disagreement between detectors", file=sys.stderr)
-            return 1
     return 0
 
 
@@ -261,10 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("irreducibility", help="decide reducibility of the bank's operator system")
     p.add_argument("bank")
-    p.add_argument("--detector", choices=("corner", "halfline", "both"), default="corner")
     p.add_argument(
-        "--window", type=int, default=0,
-        help=f"half-line probe window (default max(32, N*g), at most {PROBE_MAX_WINDOW})",
+        "--detector", choices=("corner", "both"), default="corner",
+        help="both: also print the half-line probe's line, at window max(32, N*g)",
     )
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_irreducibility)

@@ -14,9 +14,10 @@ Conventions used throughout the package:
 
 `relations_check` decides them all at once on the lag products of the
 polyphase stack ``A_d[j, r] = a^{(j)}_{N*d+r} / sqrt(N)``; `verify_bank` adds
-the DC sum.  `orthogonality_check`, `qmf_identity_check`,
-``loops.unitarity_check`` and ``cuntz.verify_cuntz`` (the Cuntz relations:
-the products folded modulo the period) are views of the same products.
+the DC sum.  `orthogonality_check` (one channel's translates, which is also
+its power identity), ``loops.unitarity_check`` and ``cuntz.verify_cuntz``
+(the Cuntz relations: the products folded modulo the period) are views of
+the same products.
 
 All operations are pure and deterministic; the container types are treated
 as immutable after construction.
@@ -31,29 +32,29 @@ import numpy as np
 
 __all__ = [
     "ALG_TOL",
-    "CIRCLE_TOL",
+    "PRESET_MAX_STRETCH",
     "FilterCoeffs",
     "FilterBank",
     "NormalizationReport",
     "OrthogonalityReport",
-    "QmfReport",
     "RelationsReport",
     "BankReport",
     "coeffs_from_dense",
     "normalization_check",
     "orthogonality_check",
     "symbol_eval",
-    "qmf_identity_check",
     "relations_check",
     "haar_complement",
     "preset_bank",
     "verify_bank",
 ]
 
-# The default tolerance of the checks, and `qmf_identity_check`'s looser one;
-# both compare the same lag products.
+# The default tolerance of the checks.
 ALG_TOL = 1e-10
-CIRCLE_TOL = 1e-8
+# The largest k of the "stretched-haar:k" preset, checked before its taps are
+# allocated: verifying it forms k + 1 lag products over k + 1 blocks, a cost
+# that grows as k^2 and takes seconds at this k.
+PRESET_MAX_STRETCH = 2**14
 
 
 def _as_taps(values) -> np.ndarray:
@@ -173,14 +174,6 @@ class OrthogonalityReport:
 
 
 @dataclass(frozen=True)
-class QmfReport:
-    passed: bool
-    max_residual: float
-    num_samples: int
-    tol: float
-
-
-@dataclass(frozen=True)
 class RelationsReport:
     """The worst residual of the orthogonality relations and its ``(m, i, j)``."""
 
@@ -210,6 +203,8 @@ def orthogonality_check(f: FilterCoeffs, N: int, tol: float = ALG_TOL) -> Orthog
 
     This is `relations_check` on the taps' one-row stack (padded to a multiple
     of N, in rows of N), ``worst_lag`` its lag; an index shift, the offset, changes nothing.
+    It is also the power identity ``sum_{k<N} |m(z e^{2 pi i k / N})|^2 = N`` on
+    the whole circle, whose left side is ``sum_l z^{N l} sum_k a_{k+N*l} conj(a_k)``.
     """
     rep = relations_check(np.pad(f.taps, (0, -f.taps.size % N)).reshape(-1, 1, N) / math.sqrt(N), tol)
     return OrthogonalityReport(rep.passed, rep.worst[0], rep.residual, tol)
@@ -222,20 +217,6 @@ def symbol_eval(f: FilterCoeffs, N: int, z: complex) -> complex:
         raise ValueError(f"z must lie on the unit circle, got |z| = {abs(z)}")
     powers = z ** np.arange(f.offset, f.span)
     return complex(np.dot(f.taps, powers) / math.sqrt(N))
-
-
-def qmf_identity_check(
-    f: FilterCoeffs, N: int, num_samples: int = 256, tol: float = CIRCLE_TOL
-) -> QmfReport:
-    """Check ``sum_{k<N} |m(z e^{2 pi i k / N})|^2 = N`` on the whole circle.
-
-    The left side is ``sum_l z^{N l} sum_n a_{n+N*l} conj(a_n)``, so the residual
-    is `orthogonality_check`'s; ``num_samples`` is only validated and reported.
-    """
-    if num_samples < 1:
-        raise ValueError("num_samples must be at least 1")
-    residual = orthogonality_check(f, N).residual
-    return QmfReport(residual <= tol, residual, num_samples, tol)
 
 
 def _polyphase_stack(bank: FilterBank) -> np.ndarray:
@@ -305,8 +286,8 @@ def _daubechies4_taps() -> np.ndarray:
 def preset_bank(name: str) -> FilterBank:
     """Return a named, fully verified dyadic bank.
 
-    Known names: ``"haar"``, ``"db4"``, and ``"stretched-haar:k"`` for k >= 1
-    (low-pass ``(1 + z^{2k+1}) / sqrt(2)``).
+    Known names: ``"haar"``, ``"db4"``, and ``"stretched-haar:k"`` for
+    ``1 <= k <= PRESET_MAX_STRETCH`` (low-pass ``(1 + z^{2k+1}) / sqrt(2)``).
     """
     if name == "haar":
         low = FilterCoeffs([1.0, 1.0])
@@ -321,6 +302,8 @@ def preset_bank(name: str) -> FilterBank:
             raise ValueError(f"malformed stretch count in preset {name!r}") from None
         if k < 1:
             raise ValueError("stretched-haar requires k >= 1")
+        if k > PRESET_MAX_STRETCH:
+            raise ValueError(f"stretch count k = {k} is too large: at most {PRESET_MAX_STRETCH}")
         taps = np.zeros(2 * k + 2)
         taps[0] = 1.0
         taps[-1] = 1.0

@@ -77,16 +77,6 @@ def test_irreducibility_reports(tmp_path, capsys):
     assert report["reducible"] is False and report["M"] == 0
 
 
-def test_irreducibility_halfline_detector(tmp_path, capsys):
-    bank = tmp_path / "bank.json"
-    main(["design", "--preset", "haar", "-o", str(bank)])
-    capsys.readouterr()
-    assert main(["irreducibility", str(bank), "--detector", "halfline"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["reducible"] is True and report["detector"] == "halfline"
-    assert report["residual"] <= 1e-14
-
-
 def test_factor_and_loop_verbs(tmp_path):
     bank = tmp_path / "bank.json"
     loop = tmp_path / "loop.json"
@@ -209,14 +199,9 @@ def test_irreducibility_report_write_errors_name_the_path_and_the_kind(tmp_path,
     assert os.listdir(".") == ["haar.json"]
 
 
-def test_window_and_depth_are_bounded_before_allocating(tmp_path, capsys):
+def test_depth_is_bounded_before_allocating(tmp_path, capsys):
     bank = tmp_path / "haar.json"
     save(preset_bank("haar"), str(bank))
-    args = ["irreducibility", str(bank), "--detector", "halfline", "--window", "100000000"]
-    assert main(args) == 2
-    assert capsys.readouterr().err == (
-        "error: window K = 100000000 is too large: at most 2048, the largest window the probe accepts\n"
-    )
     out = tmp_path / "phi.csv"
     assert main(["cascade", str(bank), "--depth", "1000", "-o", str(out)]) == 2
     assert capsys.readouterr().err == (
@@ -228,14 +213,13 @@ def test_window_and_depth_are_bounded_before_allocating(tmp_path, capsys):
 def test_a_bank_too_long_to_probe_is_named_not_a_window(tmp_path, capsys):
     bank = tmp_path / "s.json"
     save(preset_bank("stretched-haar:1100"), str(bank))
-    for detector in ("halfline", "both"):
-        assert main(["irreducibility", str(bank), "--detector", detector]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: the bank's tap span N*g = 2202 exceeds the half-line probe's largest window 2048, "
-            "so it cannot be probed; use --detector corner\n"
-        )
+    assert main(["irreducibility", str(bank), "--detector", "both"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the bank's tap span N*g = 2202 exceeds the half-line probe's largest window 2048, "
+        "so it cannot be probed; use --detector corner\n"
+    )
     assert main(["irreducibility", str(bank)]) == 0
     assert json.loads(capsys.readouterr().out)["exponents"] == [0, 1100]
 
@@ -315,6 +299,25 @@ def test_samples_option_is_gone(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments: --samples" in capsys.readouterr().err
+
+
+def test_halfline_detector_and_window_are_gone(tmp_path, capsys):
+    bank = str(tmp_path / "b.json")
+    for argv, message in (
+        (["irreducibility", bank, "--detector", "halfline"], "argument --detector: invalid choice: 'halfline'"),
+        (["irreducibility", bank, "--window", "64"], "unrecognized arguments: --window 64"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_a_stretch_count_too_large_exits_2_before_allocating(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(["design", "--preset", "stretched-haar:100000000000", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: stretch count k = 100000000000 is too large: at most 16384\n"
+    assert not out.exists()
 
 
 def test_a_refused_peel_exits_1_naming_it(tmp_path, capsys, monkeypatch):

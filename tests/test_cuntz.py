@@ -17,6 +17,7 @@ from wavebank import (
     detect_monomial_corner,
     filters_to_loop,
     invariant_subspace_probe,
+    loop_to_filters,
     preset_bank,
     stretched_haar_adjusted,
     subband_ladder,
@@ -356,6 +357,30 @@ def test_detectors_agree_on_random_banks():
         assert not probe.candidate_found
 
 
+def probe_candidates_have_a_constant_column(bank, corner):
+    """Probe ``bank`` at windows span, span + N - 1 and max(32, N g); return how
+    many found a candidate, after checking each against the corner.
+
+    A candidate means the loop's leading standard columns are constant, which
+    the corner reports as exponent-0 monomials, so it must be reducible.
+    """
+    span = max(f.span for f in bank.filters)
+    found = 0
+    for K in (span, span + bank.N - 1, max(32, bank.N * bank.g)):
+        if invariant_subspace_probe(bank, K).candidate_found:
+            assert corner.reducible and 0 in corner.exponents, K
+            found += 1
+    return found
+
+
+def test_a_probe_candidate_comes_with_a_reducible_corner():
+    banks = [preset_bank(name) for name in ("haar", "db4", "stretched-haar:1", "stretched-haar:3")]
+    banks += [stretched_haar_adjusted(2), delta_bank(2), delta_bank(3)]
+    found = [probe_candidates_have_a_constant_column(b, detect_monomial_corner(filters_to_loop(b))) for b in banks]
+    # Haar and the deltas at every window; a stretched bank's constant column 0 only at K = span
+    assert found == [3, 0, 1, 1, 1, 3, 3]
+
+
 def test_stretched_haar_adjusted():
     adj = stretched_haar_adjusted(1)
     assert not adj.lowpass_normalized
@@ -410,3 +435,4 @@ def test_corner_of_a_built_loop(case):
     assert (rep.confidence == "decisive") == (M in (0, N))
     for i, (k, e) in enumerate(zip(coords, rep.exponents)):
         assert np.abs(rep.V[:, i] - loop.coeffs[e][:, k]).max() <= 1e-12
+    probe_candidates_have_a_constant_column(loop_to_filters(loop), rep)

@@ -11,7 +11,6 @@ from wavebank import (
     normalization_check,
     orthogonality_check,
     preset_bank,
-    qmf_identity_check,
     symbol_eval,
     verify_bank,
 )
@@ -48,6 +47,14 @@ def test_orthogonality_examples():
     # D4 lag-1 sum vanishes by direct evaluation
     assert abs(D4_TAPS[2] * D4_TAPS[0] + D4_TAPS[3] * D4_TAPS[1]) < 1e-15
     assert orthogonality_check(FilterCoeffs(D4_TAPS), 2).passed
+    # the power identity: Haar holds it, a half-power symbol (1 + z)/2 misses
+    # it by exactly 1, and the same taps scaled to (1/2, 1/2) miss it by 3/2
+    rep = orthogonality_check(preset_bank("haar").lowpass, 2)
+    assert rep.passed and rep.residual <= 1e-12
+    rep = orthogonality_check(FilterCoeffs([1 / SQRT2, 1 / SQRT2]), 2)
+    assert not rep.passed and rep.residual == pytest.approx(1.0, abs=1e-14)
+    rep = orthogonality_check(FilterCoeffs([0.5, 0.5]), 2)
+    assert not rep.passed and rep.residual == pytest.approx(1.5, abs=1e-14)
 
 
 def test_symbol_eval():
@@ -70,18 +77,6 @@ def test_symbol_at_one_is_scaled_tap_sum():
         f = FilterCoeffs(taps, offset=int(rng.integers(0, 3)))
         for N in (2, 3, 4):
             assert symbol_eval(f, N, 1.0) == pytest.approx(taps.sum() / math.sqrt(N), abs=1e-14)
-
-
-def test_qmf_identity():
-    rep = qmf_identity_check(preset_bank("haar").lowpass, 2, 256)
-    assert rep.passed and rep.max_residual <= 1e-12
-    # a half-power symbol (1 + z)/2 misses the identity by exactly 1
-    rep = qmf_identity_check(FilterCoeffs([1 / SQRT2, 1 / SQRT2]), 2, 64)
-    assert not rep.passed and rep.max_residual == pytest.approx(1.0, abs=1e-14)
-    # the same taps scaled to (1/2, 1/2) miss it by 3/2
-    rep = qmf_identity_check(FilterCoeffs([0.5, 0.5]), 2, 64)
-    assert not rep.passed and rep.max_residual == pytest.approx(1.5, abs=1e-14)
-    assert qmf_identity_check(FilterCoeffs(D4_TAPS), 2, 256).passed
 
 
 def test_haar_complement_examples():
@@ -140,6 +135,8 @@ def test_preset_unknown():
         preset_bank("stretched-haar:0")
     with pytest.raises(ValueError):
         preset_bank("stretched-haar:x")
+    with pytest.raises(ValueError, match="at most 16384"):
+        preset_bank("stretched-haar:16385")
 
 
 def _genus2_newton_solutions():
@@ -202,7 +199,7 @@ def test_preset_db4_rederived():
     assert verify_bank(bank).passed
 
 
-def test_orthogonality_implies_qmf_identity_on_random_banks():
+def test_every_channel_of_random_banks_is_orthogonal():
     rng = np.random.default_rng(42)
     for _ in range(100):
         N = int(rng.integers(2, 5))
@@ -210,7 +207,6 @@ def test_orthogonality_implies_qmf_identity_on_random_banks():
         bank = random_spin_bank(rng, N, k)
         orth = [orthogonality_check(f, N) for f in bank.filters]
         assert all(r.passed for r in orth)
-        assert qmf_identity_check(bank.lowpass, N, 64).passed
 
 
 def test_bank_validation():

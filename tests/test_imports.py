@@ -15,7 +15,7 @@ import pytest
 
 import wavebank
 from conftest import random_spins
-from wavebank import analyze, cascade, cli, cuntz, filters_to_loop, preset_bank, save
+from wavebank import analyze, cascade, cli, filters_to_loop, preset_bank, save
 
 SRC = str(Path(wavebank.__file__).resolve().parent.parent)
 BASE = {"filters", "storage"}
@@ -83,4 +83,3 @@ def test_every_public_name_and_submodule_resolves():
 def test_the_parsers_copies_of_the_bounds_are_the_modules_constants():
     assert cli.CASCADE_TOL == cascade.CASCADE_TOL
     assert cli.CASCADE_MAX_SAMPLES == cascade.CASCADE_MAX_SAMPLES
-    assert cli.PROBE_MAX_WINDOW == cuntz.PROBE_MAX_WINDOW
