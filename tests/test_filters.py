@@ -47,14 +47,19 @@ def test_orthogonality_examples():
     # D4 lag-1 sum vanishes by direct evaluation
     assert abs(D4_TAPS[2] * D4_TAPS[0] + D4_TAPS[3] * D4_TAPS[1]) < 1e-15
     assert orthogonality_check(FilterCoeffs(D4_TAPS), 2).passed
-    # the power identity: Haar holds it, a half-power symbol (1 + z)/2 misses
-    # it by exactly 1, and the same taps scaled to (1/2, 1/2) miss it by 3/2
+
+
+def test_qmf_identity():
+    # the power identity sum_k |m(rho^k z)|^2 = N is orthogonality_check's residual
     rep = orthogonality_check(preset_bank("haar").lowpass, 2)
     assert rep.passed and rep.residual <= 1e-12
+    # a half-power symbol (1 + z)/2 misses the identity by exactly 1
     rep = orthogonality_check(FilterCoeffs([1 / SQRT2, 1 / SQRT2]), 2)
     assert not rep.passed and rep.residual == pytest.approx(1.0, abs=1e-14)
+    # the same taps scaled to (1/2, 1/2) miss it by 3/2
     rep = orthogonality_check(FilterCoeffs([0.5, 0.5]), 2)
     assert not rep.passed and rep.residual == pytest.approx(1.5, abs=1e-14)
+    assert orthogonality_check(FilterCoeffs(D4_TAPS), 2).passed
 
 
 def test_symbol_eval():
