@@ -22,6 +22,8 @@ from .filters import FilterBank, FilterCoeffs, normalization_check, orthogonalit
 __all__ = [
     "CASCADE_TOL",
     "CASCADE_MAX_SAMPLES",
+    "WAVELET_TOL",
+    "GRAM_SAMPLES",
     "SampledFunction",
     "CascadeResult",
     "GramReport",
@@ -38,6 +40,8 @@ CASCADE_TOL = 1e-9
 # The largest cascade grid, in samples: one complex array of this length
 # takes 64 MiB, and an iteration holds a few of them.
 CASCADE_MAX_SAMPLES = 2**22
+WAVELET_TOL = 1e-8  # the largest refinement residual of phi that `build_wavelets` accepts
+GRAM_SAMPLES = 512  # the circle points at which `translate_gram` reads the frame bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,17 +195,15 @@ def cascade_iterate(
     return CascadeResult(phi, False, delta, iterations)
 
 
-def build_wavelets(
-    bank: FilterBank, phi: SampledFunction, residual_tol: float = 1e-8
-) -> tuple[SampledFunction, ...]:
+def build_wavelets(bank: FilterBank, phi: SampledFunction) -> tuple[SampledFunction, ...]:
     """Detail functions ``psi_j(x) = sum_k a^{(j)}_k phi(N x - k)``, j = 1..N-1.
 
-    Requires phi to satisfy its refinement equation within ``residual_tol``;
+    Requires phi to satisfy its refinement equation within ``WAVELET_TOL``;
     each wavelet shares phi's support bound.
     """
     res = refinement_residual(phi, bank)
-    if res > residual_tol:
-        raise ValueError(f"refinement residual {res:.3e} exceeds {residual_tol:.1e}")
+    if res > WAVELET_TOL:
+        raise ValueError(f"refinement residual {res:.3e} exceeds {WAVELET_TOL:.1e}")
     lo = phi.start
     hi = phi.start + len(phi) - 1
     return tuple(
@@ -222,7 +224,7 @@ class GramReport:
     frame_bounds: tuple[float, float]
 
 
-def translate_gram(phi: SampledFunction, lmax: int, num_samples: int = 512) -> GramReport:
+def translate_gram(phi: SampledFunction, lmax: int) -> GramReport:
     """Gram data of the integer translates of phi by grid quadrature.
 
     The box rule at step ``N^-depth`` is exact for functions that are
@@ -231,8 +233,6 @@ def translate_gram(phi: SampledFunction, lmax: int, num_samples: int = 512) -> G
     width = phi.support[1] - phi.support[0]
     if lmax < width:
         raise ValueError(f"lmax = {lmax} is smaller than the support width {width}")
-    if num_samples < 256:
-        raise ValueError("num_samples must be at least 256")
     unit = phi.scale**phi.depth
     indices = phi.start + np.arange(len(phi))
     h = np.zeros(2 * lmax + 1, dtype=np.complex128)
@@ -244,7 +244,7 @@ def translate_gram(phi: SampledFunction, lmax: int, num_samples: int = 512) -> G
         raise ValueError(f"translate inner products fail Hermitian symmetry by {herm:.3e}")
     i, j = np.indices((lmax + 1, lmax + 1))
     gram = h[(j - i) + lmax]
-    theta = 2.0 * np.pi * np.arange(num_samples) / num_samples
+    theta = 2.0 * np.pi * np.arange(GRAM_SAMPLES) / GRAM_SAMPLES
     ls = np.arange(-lmax, lmax + 1)
     symbol = (np.exp(1j * np.outer(theta, ls)) @ h).real
     return GramReport(gram, (float(symbol.min()), float(symbol.max())))

@@ -132,13 +132,13 @@ class SubbandLadder:
         return int(round(np.trace(self.tail).real))
 
 
-def subband_ladder(sys: CuntzSystem, depth: int, tol: float = LADDER_TOL) -> SubbandLadder:
+def subband_ladder(sys: CuntzSystem, depth: int) -> SubbandLadder:
     """Build the depth-d resolution ladder ``proj(S_0^{n-1} L) = B_{n-1} B_{n-1}^* - B_n B_n^*``.
 
     ``B_n`` chains the low-pass isometries of periods ``L, L/N, ...``; the
     level-n projection has rank ``L (N-1) / N^n`` and the tail ``L / N^d``.
     The projection system is validated (idempotent, self-adjoint, mutually
-    orthogonal, summing to the identity within ``tol``) before returning.
+    orthogonal, summing to the identity within ``LADDER_TOL``) before returning.
     """
     bank, L, N = sys.bank, sys.L, sys.N
     if depth < 1:
@@ -162,24 +162,24 @@ def subband_ladder(sys: CuntzSystem, depth: int, tol: float = LADDER_TOL) -> Sub
         period //= N
 
     ladder = SubbandLadder(depth, tuple(projections), prev)
-    _validate_ladder(ladder, L, N, tol)
+    _validate_ladder(ladder, L, N)
     return ladder
 
 
-def _validate_ladder(ladder: SubbandLadder, L: int, N: int, tol: float) -> None:
+def _validate_ladder(ladder: SubbandLadder, L: int, N: int) -> None:
     parts = list(ladder.projections) + [ladder.tail]
     total = np.zeros((L, L), dtype=np.complex128)
     for i, P in enumerate(parts):
-        if np.abs(P - P.conj().T).max() > tol:
-            raise ValueError(f"ladder projection {i} is not self-adjoint within {tol}")
-        if np.abs(P @ P - P).max() > tol:
-            raise ValueError(f"ladder projection {i} is not idempotent within {tol}")
+        if np.abs(P - P.conj().T).max() > LADDER_TOL:
+            raise ValueError(f"ladder projection {i} is not self-adjoint within {LADDER_TOL}")
+        if np.abs(P @ P - P).max() > LADDER_TOL:
+            raise ValueError(f"ladder projection {i} is not idempotent within {LADDER_TOL}")
         for k in range(i):
-            if np.abs(parts[k] @ P).max() > tol:
-                raise ValueError(f"ladder projections {k} and {i} are not orthogonal within {tol}")
+            if np.abs(parts[k] @ P).max() > LADDER_TOL:
+                raise ValueError(f"ladder projections {k} and {i} are not orthogonal within {LADDER_TOL}")
         total += P
-    if np.abs(total - np.eye(L)).max() > tol:
-        raise ValueError(f"ladder projections do not sum to the identity within {tol}")
+    if np.abs(total - np.eye(L)).max() > LADDER_TOL:
+        raise ValueError(f"ladder projections do not sum to the identity within {LADDER_TOL}")
     expected = [L * (N - 1) // N ** n for n in range(1, ladder.depth + 1)]
     if list(ladder.ranks) != expected or ladder.tail_rank != L // N**ladder.depth:
         raise ValueError(
@@ -267,7 +267,7 @@ class ProbeReport:
     window: int
 
 
-def invariant_subspace_probe(bank: FilterBank, K: int, tol: float = PROBE_TOL) -> ProbeReport:
+def invariant_subspace_probe(bank: FilterBank, K: int) -> ProbeReport:
     """Test whether the half-line ``l^2({0, 1, 2, ...})`` is invariant.
 
     ``residual`` is the worst norm that any ``S_j`` or ``S_j^*`` moves from a
@@ -276,8 +276,8 @@ def invariant_subspace_probe(bank: FilterBank, K: int, tol: float = PROBE_TOL) -
     ``S_j^* e_k`` leaks the tail of the residue class of ``k`` mod N:
     ``sqrt(sum_{l >= 1} |a^{(j)}_{k + N l}|^2 / N)``.  The probe thus tests tap
     support, and finds a candidate only when every checked tail is zero (up
-    to ``tol``), as for Haar; the window matters only through the range of
-    ``k``.  A candidate certifies a reducing subspace of this particular
+    to ``PROBE_TOL``), as for Haar; the window matters only through the range
+    of ``k``.  A candidate certifies a reducing subspace of this particular
     family; a larger residual only rules the half-line out, it does not
     certify irreducibility.
     """
@@ -296,7 +296,7 @@ def invariant_subspace_probe(bank: FilterBank, K: int, tol: float = PROBE_TOL) -
     # the leak of e_k, k = N r + c, is the strict tail tails[j, r + 1, c]
     leaks = tails[:, 1:].reshape(N, -1)[:, : K - span + 1]
     residual = math.sqrt(float(leaks.max(initial=0.0)))
-    return ProbeReport(residual <= tol, residual, K)
+    return ProbeReport(residual <= PROBE_TOL, residual, K)
 
 
 def stretched_haar_adjusted(k: int) -> FilterBank:

@@ -14,10 +14,10 @@ Conventions used throughout the package:
 
 `relations_check` decides them all at once on the lag products of the
 polyphase stack ``A_d[j, r] = a^{(j)}_{N*d+r} / sqrt(N)``; `verify_bank` adds
-the DC sum.  `orthogonality_check` (one channel's translates, which is also
-its power identity), ``loops.unitarity_check`` and ``cuntz.verify_cuntz``
-(the Cuntz relations: the products folded modulo the period) are views of
-the same products.
+the DC sum, and ``loops.unitarity_check`` is the same check on a loop's
+coefficients.  `orthogonality_check` (one channel's translates, which is also
+its power identity) and ``cuntz.verify_cuntz`` (the Cuntz relations: the
+products folded modulo the period) are views of the same products.
 
 All operations are pure and deterministic; the container types are treated
 as immutable after construction.
@@ -198,16 +198,16 @@ def normalization_check(f: FilterCoeffs, N: int, tol: float = ALG_TOL) -> Normal
     return NormalizationReport(residual <= tol, residual, tol)
 
 
-def orthogonality_check(f: FilterCoeffs, N: int, tol: float = ALG_TOL) -> OrthogonalityReport:
-    """Check translate orthonormality ``sum_k a_{k+N*l} conj(a_k) = N delta_l``.
+def orthogonality_check(f: FilterCoeffs, N: int) -> OrthogonalityReport:
+    """Check translate orthonormality ``sum_k a_{k+N*l} conj(a_k) = N delta_l`` within ``ALG_TOL``.
 
     This is `relations_check` on the taps' one-row stack (padded to a multiple
     of N, in rows of N), ``worst_lag`` its lag; an index shift, the offset, changes nothing.
     It is also the power identity ``sum_{k<N} |m(z e^{2 pi i k / N})|^2 = N`` on
     the whole circle, whose left side is ``sum_l z^{N l} sum_k a_{k+N*l} conj(a_k)``.
     """
-    rep = relations_check(np.pad(f.taps, (0, -f.taps.size % N)).reshape(-1, 1, N) / math.sqrt(N), tol)
-    return OrthogonalityReport(rep.passed, rep.worst[0], rep.residual, tol)
+    rep = relations_check(np.pad(f.taps, (0, -f.taps.size % N)).reshape(-1, 1, N) / math.sqrt(N))
+    return OrthogonalityReport(rep.passed, rep.worst[0], rep.residual, rep.tol)
 
 
 def symbol_eval(f: FilterCoeffs, N: int, z: complex) -> complex:
@@ -256,13 +256,11 @@ def relations_check(coeffs, tol: float = ALG_TOL) -> RelationsReport:
     return RelationsReport(residual <= tol, residual, (m, i, j), tol)
 
 
-def haar_complement(f: FilterCoeffs, g: int, N: int = 2) -> FilterCoeffs:
+def haar_complement(f: FilterCoeffs, g: int) -> FilterCoeffs:
     """High-pass completion ``b_k = (-1)^k conj(a_{2g-1-k})`` for scale 2.
 
     Applied twice this returns ``(-1)^{2g-1}`` times the original taps.
     """
-    if N != 2:
-        raise ValueError("high-pass completion is only implemented for scale N = 2")
     if g < 1:
         raise ValueError("genus g must be at least 1")
     L = 2 * g
@@ -296,10 +294,13 @@ def preset_bank(name: str) -> FilterBank:
         low = FilterCoeffs(_daubechies4_taps())
         g = 2
     elif name.startswith("stretched-haar:"):
+        text = name.split(":", 1)[1]
         try:
-            k = int(name.split(":", 1)[1])
+            k = int(text)
         except ValueError:
-            raise ValueError(f"malformed stretch count in preset {name!r}") from None
+            k = None
+        if k is None or text != str(k):  # one spelling, one name, per count
+            raise ValueError(f"malformed stretch count in preset {name!r}")
         if k < 1:
             raise ValueError("stretched-haar requires k >= 1")
         if k > PRESET_MAX_STRETCH:

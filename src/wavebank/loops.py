@@ -4,13 +4,14 @@ A loop is a matrix polynomial ``A(z) = sum_d A_d z^d`` that maps the unit
 circle into the N-by-N unitary group.  Loops and banks carry the same data:
 ``A_d[j, k] = a^{(j)}_{N d + k} / sqrt(N)``, so converting either way is pure
 index bookkeeping with no arithmetic beyond the ``sqrt(N)`` scaling, and
-`unitarity_check` is a view of the filters' lag products.
+`unitarity_check` is `relations_check` on the loop's coefficients.
 
 Degree-one elementary factors ``I - P + z P`` built from orthogonal
 projections generate every polynomial loop; `synthesize_from_spins` expands a
 constant unitary times such factors, and `factor_to_spins` peels rank-one
 factors back off, as many as the winding number of ``det A(z)``, from the
-loop or, when that misses the round trip, from its transpose.
+loop or, when that misses the round trip, from its transpose.  Nothing here
+samples the circle.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from functools import reduce
 
 import numpy as np
 
-from .filters import FilterBank, _lag_products, _polyphase_stack, coeffs_from_dense, normalization_check
+from .filters import (
+    FilterBank, RelationsReport, _polyphase_stack, coeffs_from_dense, normalization_check, relations_check
+)
 
 __all__ = [
-    "UNITARITY_TOL",
     "ROUNDTRIP_TOL",
     "PolyLoop",
     "SpinFactorization",
-    "UnitarityReport",
     "NotFactorableError",
     "filters_to_loop",
     "loop_to_filters",
@@ -37,7 +38,6 @@ __all__ = [
     "factor_to_spins",
 ]
 
-UNITARITY_TOL = 1e-10
 # The largest coefficient error `factor_to_spins` accepts when it
 # re-synthesizes its factors.
 ROUNDTRIP_TOL = 1e-10
@@ -47,9 +47,10 @@ _PRUNE_TOL = 1e-12
 class NotFactorableError(ValueError):
     """The peeled factors do not re-synthesize the loop within ``ROUNDTRIP_TOL``.
 
-    The input is not numerically paraunitary, or the peel lost accuracy on
-    the loop and on its transpose.  ``step`` is the number of factors peeled,
-    and ``conditioning = |P_1 P_2 ... P_k|_2`` of the refused factors is the
+    The input is not numerically paraunitary (a spin count above ``N *
+    degree`` is refused before any peel), or the peel lost accuracy on the
+    loop and on its transpose.  ``step`` is the number of factors peeled, and
+    ``conditioning = |P_1 P_2 ... P_k|_2`` of the refused factors is the
     factor by which the coefficient form shrinks the leading coefficient
     (``prod |<v_i, v_{i+1}>|`` for rank-one factors).  Both are optional for
     callers that raise it without a peel.
@@ -117,14 +118,6 @@ class PolyLoop:
             out = out * z + self.coeffs[d]
         return out
 
-    def eval_many(self, zs) -> np.ndarray:
-        """Evaluate at a batch of points; returns ``(len(zs), N, N)``."""
-        zs = np.asarray(zs, dtype=np.complex128)
-        out = np.broadcast_to(self.coeffs[-1], (zs.size, self.N, self.N)).copy()
-        for d in range(self.coeffs.shape[0] - 2, -1, -1):
-            out = out * zs[:, None, None] + self.coeffs[d]
-        return out
-
 
 def _projection(vectors: np.ndarray) -> np.ndarray:
     # rows of `vectors` are an orthonormal basis of the projection's range
@@ -171,14 +164,6 @@ class SpinFactorization:
         return [_projection(vecs) for vecs in self.factors]
 
 
-@dataclass(frozen=True)
-class UnitarityReport:
-    passed: bool
-    max_residual: float
-    num_samples: int
-    tol: float
-
-
 def filters_to_loop(bank: FilterBank) -> PolyLoop:
     """Regroup bank taps into the polyphase loop ``A_d[j, k] = a^{(j)}_{Nd+k} / sqrt(N)``."""
     return PolyLoop(bank.N, _prune(_polyphase_stack(bank)))
@@ -198,20 +183,12 @@ def loop_to_filters(loop: PolyLoop) -> FilterBank:
     return FilterBank(N, g, filters, lowpass_normalized=normalized)
 
 
-def unitarity_check(loop: PolyLoop, num_samples: int | None = None) -> UnitarityReport:
-    """Check ``A(z) A(z)^* = I`` on its coefficients, ``max |C_m - delta_m0 I|`` of the lag products.
+def unitarity_check(loop: PolyLoop) -> RelationsReport:
+    """Check ``A(z) A(z)^* = I``: `relations_check` on the loop's coefficients.
 
-    ``num_samples``, at least ``2*degree + 1``, is only validated and reported.
+    This is the check the CLI applies to a loop, at the default ``ALG_TOL``.
     """
-    need = 2 * loop.degree + 1
-    if num_samples is None:
-        num_samples = max(need, 16)
-    if num_samples < need:
-        raise ValueError(f"need at least {need} samples to certify degree {loop.degree}")
-    C = _lag_products(loop.coeffs)
-    C[0] -= np.eye(loop.N)
-    residual = float(np.abs(C).max())
-    return UnitarityReport(residual <= UNITARITY_TOL, residual, num_samples, UNITARITY_TOL)
+    return relations_check(loop.coeffs)
 
 
 def _polymul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -267,15 +244,16 @@ def _peel(loop: PolyLoop, m: int, transpose: bool) -> tuple[SpinFactorization, i
 def factor_to_spins(loop: PolyLoop) -> SpinFactorization:
     """Peel rank-one spin factors off a unitary loop.
 
-    ``det A(z) = c z^m`` for a unitary loop, and ``m`` (the winding number),
-    read off the FFT of ``det A`` at ``N * degree + 1`` roots of unity, is the
-    number of rank-one factors.  Each of the ``m`` steps takes the spin vector
-    ``v`` spanning ``ker A_0`` (the last right singular vector) and multiplies
-    by ``I - P + P/z`` with ``P = v v^*``, keeping every coefficient.  The
-    polar factor of the surviving constant ``A_0`` is ``V``, unitary even when
-    the input is not, so the round trip is the one judge.  Pure delays and
-    factors of higher rank come out as rank-one factors like every other
-    loop, ordered so that `synthesize_from_spins` reproduces the input.
+    ``det A(z) = c z^m`` for a unitary loop, and ``m`` (the winding number,
+    ``(1/2 pi) int tr(A^* z A') dtheta = sum_d d |A_d|_F^2``, read off the
+    coefficients and rounded) is the number of rank-one factors.  Each of the
+    ``m`` steps takes the spin vector ``v`` spanning ``ker A_0`` (the last
+    right singular vector) and multiplies by ``I - P + P/z`` with ``P = v
+    v^*``, keeping every coefficient.  The polar factor of the surviving
+    constant ``A_0`` is ``V``, unitary even when the input is not, so the
+    round trip is the one judge.  Pure delays and factors of higher rank come
+    out as rank-one factors like every other loop, ordered so that
+    `synthesize_from_spins` reproduces the input.
 
     When the round trip misses, the same peel runs once on the transpose,
     taking each spin from the left kernel of ``A_0``, and the attempt with the
@@ -285,22 +263,29 @@ def factor_to_spins(loop: PolyLoop) -> SpinFactorization:
     ``ROUNDTRIP_TOL``), naming the kept attempt's residual, step (the number
     of factors peeled) and conditioning.  This happens on inputs that are not
     numerically paraunitary and when both peels lose accuracy at high degree.
+    A count above ``N * degree``, the most rank-one factors that degree
+    holds, is refused before any peel, naming the relations residual.
     """
-    N = loop.N
-    samples = N * loop.degree + 1
-    dets = np.linalg.det(loop.eval_many(np.exp(2j * np.pi * np.arange(samples) / samples)))
-    m = int(np.argmax(np.abs(np.fft.fft(dets))))
+    N, D = loop.N, loop.degree
+    count = float(np.arange(D + 1) @ (np.abs(loop.coeffs) ** 2).sum(axis=(1, 2)))
+    if not count < N * D + 0.5:  # it rounds above N * D, or is not a number
+        raise NotFactorableError(
+            f"the spin count sum_d d |A_d|_F^2 = {count:.6g} exceeds N * degree = {N * D}, "
+            f"the most rank-one factors a degree-{D} loop holds",
+            relations_check(loop.coeffs).residual,
+        )
+    m = round(count)
     sf, degree, error = _peel(loop, m, transpose=False)
-    if degree != loop.degree or not error <= ROUNDTRIP_TOL:
+    if degree != D or not error <= ROUNDTRIP_TOL:
         retry = _peel(loop, m, transpose=True)
         _, r_degree, r_error = retry
-        if (r_degree == loop.degree and r_error <= ROUNDTRIP_TOL) or r_error < error:
+        if (r_degree == D and r_error <= ROUNDTRIP_TOL) or r_error < error:
             sf, degree, error = retry
-    if degree != loop.degree or not error <= ROUNDTRIP_TOL:
+    if degree != D or not error <= ROUNDTRIP_TOL:
         product = reduce(np.matmul, sf.projections(), np.eye(N, dtype=np.complex128))
         raise NotFactorableError(
             f"the factors re-synthesize a degree-{degree} loop that misses the "
-            f"degree-{loop.degree} input by more than {ROUNDTRIP_TOL:.0e}",
+            f"degree-{D} input by more than {ROUNDTRIP_TOL:.0e}",
             error,
             len(sf.factors),
             float(np.linalg.norm(product, 2)),

@@ -157,7 +157,12 @@ def _serve(jobs) -> None:
 
 
 class _Halves:
-    """One call's runner of level blocks: its two buffer sets and its reply queue."""
+    """One call's runner of level blocks: its two buffer sets and its reply queue.
+
+    The second half goes to the shared helper, not to a thread per level: on two CPUs a
+    thread start and join takes 75-100 us against 15 us for the queue handoff, which made
+    analyze + synthesize slower on every short bank (Haar at 2^20 samples: 21.9 -> 25.5 ms).
+    """
 
     def __init__(self, N: int, D: int):
         self._shape = (N, _BLOCK + D - 1)

@@ -320,6 +320,16 @@ def test_a_stretch_count_too_large_exits_2_before_allocating(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_stretch_count_in_another_spelling_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    for count in ("1_0", " 10", "+10", "010"):
+        assert main(["design", "--preset", f"stretched-haar:{count}", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: malformed stretch count in preset 'stretched-haar:{count}'\n"
+        assert not out.exists()
+    assert main(["design", "--preset", "stretched-haar:10", "-o", str(out)]) == 0
+    assert load(str(out), "bank").name == "stretched-haar:10"
+
+
 def test_a_refused_peel_exits_1_naming_it(tmp_path, capsys, monkeypatch):
     from wavebank import loops
 

@@ -172,6 +172,22 @@ def test_first_ladder_level_is_highpass_range():
         assert np.abs(lad.projections[0] - high).max() <= 1e-12
 
 
+@settings(derandomize=True, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_subband_ladder_on_spin_banks(N, k, depth, seed):
+    bank = random_spin_bank(np.random.default_rng(seed), N, k)
+    span = max(f.span for f in bank.filters)
+    # the smallest period the ladder accepts: N^depth divides it, and the last
+    # stage's period, L / N^(depth - 1), is at least the tap span
+    L = N**depth * -(-span // N)
+    sys = build_operators(bank, L)
+    lad = subband_ladder(sys, depth)
+    assert lad.ranks == tuple(L * (N - 1) // N**n for n in range(1, depth + 1))
+    assert lad.tail_rank == L // N**depth
+    high = sum(S @ S.conj().T for S in sys.ops[1:])
+    assert np.abs(lad.projections[0] - high).max() <= 1e-12
+
+
 def test_subband_ladder_validation():
     sys = build_operators(preset_bank("haar"), 8)
     with pytest.raises(ValueError):

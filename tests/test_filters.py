@@ -92,8 +92,6 @@ def test_haar_complement_examples():
     b4 = haar_complement(FilterCoeffs(D4_TAPS), 2)
     expected = [(1 - SQRT3) / 4, -(3 - SQRT3) / 4, (3 + SQRT3) / 4, -(1 + SQRT3) / 4]
     assert np.allclose(b4.dense(4), expected, atol=1e-15)
-    with pytest.raises(ValueError):
-        haar_complement(FilterCoeffs([1, 1]), 1, N=3)
 
 
 def test_haar_complement_completes_to_unitary_bank():
@@ -142,6 +140,11 @@ def test_preset_unknown():
         preset_bank("stretched-haar:x")
     with pytest.raises(ValueError, match="at most 16384"):
         preset_bank("stretched-haar:16385")
+    # int() reads each of these as 10; only the one spelling str(10) names the bank
+    for count in ("1_0", " 10", "+10", "010"):
+        with pytest.raises(ValueError, match="malformed stretch count"):
+            preset_bank(f"stretched-haar:{count}")
+    assert preset_bank("stretched-haar:10").g == 11
 
 
 def _genus2_newton_solutions():

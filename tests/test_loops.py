@@ -19,6 +19,7 @@ from wavebank import (
     synthesize_from_spins,
     unitarity_check,
 )
+from wavebank.filters import relations_check
 
 SQRT2 = math.sqrt(2.0)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2
@@ -129,11 +130,18 @@ def test_round_trips_are_lossless():
 def test_unitarity_check():
     haar_loop = filters_to_loop(preset_bank("haar"))
     rep = unitarity_check(haar_loop)
-    assert rep.passed and rep.max_residual <= 1e-15
+    assert rep.passed and rep.residual <= 1e-15
     bad = PolyLoop(2, np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex))
     assert not unitarity_check(bad).passed
-    with pytest.raises(ValueError):
-        unitarity_check(filters_to_loop(preset_bank("db4")), num_samples=2)
+
+
+def test_unitarity_is_the_relations_check_the_cli_applies():
+    # |C_0 - I| = 7.0e-11 is within 1e-10, but on the tap scale, N |C_0 - I| =
+    # 1.4e-10, it is not: the loop is as far from unitary as the CLI says
+    loop = PolyLoop(2, (1 + 3.5e-11) * HADAMARD[None])
+    rep = unitarity_check(loop)
+    assert rep == relations_check(loop.coeffs)
+    assert not rep.passed and rep.residual == pytest.approx(1.4e-10, rel=1e-3)
 
 
 def test_unitarity_random_spins():
@@ -141,8 +149,8 @@ def test_unitarity_random_spins():
     for _ in range(100):
         sf = random_spins(rng, int(rng.integers(2, 5)), int(rng.integers(0, 9)))
         loop = synthesize_from_spins(sf)
-        rep = unitarity_check(loop, 2 * loop.degree + 1)
-        assert rep.max_residual <= 1e-12
+        rep = unitarity_check(loop)
+        assert rep.residual <= 1e-12
 
 
 def test_unitarity_iff_orthogonality():
@@ -150,7 +158,7 @@ def test_unitarity_iff_orthogonality():
     for _ in range(20):
         bank = random_spin_bank(rng, int(rng.integers(2, 4)), int(rng.integers(1, 5)))
         loop = filters_to_loop(bank)
-        assert unitarity_check(loop, 2 * loop.degree + 1).passed
+        assert unitarity_check(loop).passed
         assert all(orthogonality_check(f, bank.N).passed for f in bank.filters)
         # perturb one tap: the broken bank fails on both sides of the equivalence
         taps = bank.filters[0].taps.copy()
@@ -304,6 +312,27 @@ def test_factor_peels_k_rank_one_factors_off_k_spins(N, k, seed):
     back = synthesize_from_spins(sf)
     assert back.degree == loop.degree
     assert np.abs(back.coeffs - loop.coeffs).max() <= 1e-12
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 8), st.integers(0, 2**32 - 1))
+def test_the_spin_count_is_read_off_the_coefficients(N, k, seed):
+    # the winding number of det A(z) is sum_d d |A_d|_F^2 on a unitary loop
+    loop = synthesize_from_spins(random_spins(np.random.default_rng(seed), N, k))
+    count = sum(d * np.linalg.norm(A) ** 2 for d, A in enumerate(loop.coeffs))
+    assert abs(count - k) <= 1e-12
+    assert len(factor_to_spins(loop).factors) == k
+
+
+def test_a_spin_count_above_n_times_the_degree_is_refused_before_any_peel():
+    # sum_d d |A_d|_F^2 = 1e6 for the db4 loop times 1e3, and a degree-1 loop
+    # at N = 2 holds at most 2 rank-one factors
+    loop = PolyLoop(2, 1e3 * filters_to_loop(preset_bank("db4")).coeffs)
+    with pytest.raises(NotFactorableError, match=r"spin count .* = 1e\+06 exceeds N \* degree = 2") as exc:
+        factor_to_spins(loop)
+    assert exc.value.step is None and exc.value.conditioning is None
+    # the residual is the relations check's, N |C_0 - I| = 2 (1e6 - 1)
+    assert exc.value.residual == pytest.approx(2 * (1e6 - 1), rel=1e-9)
 
 
 def test_factor_retries_on_the_transpose_before_it_refuses():
