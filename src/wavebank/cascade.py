@@ -5,8 +5,11 @@ iterating the right-hand side on a fixed grid of step ``N^-depth``, starting
 from the unit box on ``[0, 1)``.  Because ``N x - k`` maps grid points to
 grid points, one iteration is exact index bookkeeping, and the sup-norm
 difference of successive iterates doubles as the refinement residual of the
-returned samples.  Supports stay inside ``[0, (N g - 1)/(N - 1)]`` (which is
-``[0, 2g - 1]`` in the dyadic case).
+returned samples.  Each tap adds its term only at the grid points whose read
+index falls inside the stored samples, as one strided slice; the terms it
+skips are zeros, so the sums keep the bits of the full ones.  Supports stay
+inside ``[0, (N g - 1)/(N - 1)]`` (which is ``[0, 2g - 1]`` in the dyadic
+case).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ CASCADE_TOL = 1e-9
 # takes 64 MiB, and an iteration holds a few of them.
 CASCADE_MAX_SAMPLES = 2**22
 WAVELET_TOL = 1e-8  # the largest refinement residual of phi that `build_wavelets` accepts
-GRAM_SAMPLES = 512  # the circle points at which `translate_gram` reads the frame bounds
+GRAM_SAMPLES = 512  # the equispaced circle points at which `translate_gram` reads the frame bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,13 +104,25 @@ class CascadeResult:
 
 
 def _dilated_filter_apply(f: SampledFunction, coeffs: FilterCoeffs, lo: int, hi: int) -> np.ndarray:
-    """``sum_k c_k f(N x - k)`` sampled at grid indices ``lo..hi`` of f's grid."""
+    """``sum_k c_k f(N x - k)`` sampled at grid indices ``lo..hi`` of f's grid.
+
+    Tap k at output index q reads f's sample ``N q - k N^depth``; only the
+    outputs whose read lands inside f's stored range get the term, as one
+    strided slice of f's values.  The skipped terms are ``c_k * 0`` added to
+    an accumulator that starts at ``+0``, so every output has the bits of the
+    sum over all taps.
+    """
     N = f.scale
     unit = N**f.depth
-    p = np.arange(lo, hi + 1)
-    out = np.zeros(p.size, dtype=np.complex128)
+    out = np.zeros(hi - lo + 1, dtype=np.complex128)
     for i, c in enumerate(coeffs.taps):
-        out += c * f.values_at(N * p - (coeffs.offset + i) * unit)
+        # stored index s = N q - shift lies in [0, len(f) - 1] for q in q0..q1 - 1
+        shift = (coeffs.offset + i) * unit + f.start
+        q0 = max(lo, -(-shift // N))
+        q1 = min(hi, (shift + len(f) - 1) // N) + 1
+        if q1 > q0:
+            s = N * q0 - shift
+            out[q0 - lo : q1 - lo] += c * f.values[s : s + N * (q1 - q0 - 1) + 1 : N]
     return out
 
 
@@ -228,7 +243,10 @@ def translate_gram(phi: SampledFunction, lmax: int) -> GramReport:
     """Gram data of the integer translates of phi by grid quadrature.
 
     The box rule at step ``N^-depth`` is exact for functions that are
-    piecewise constant on the grid and C^1-accurate otherwise.
+    piecewise constant on the grid and C^1-accurate otherwise.  The frame
+    bounds are the symbol's extrema over ``GRAM_SAMPLES`` circle points and
+    the angles of the roots of its derivative, so a zero between the points
+    is not missed.
     """
     width = phi.support[1] - phi.support[0]
     if lmax < width:
@@ -239,13 +257,18 @@ def translate_gram(phi: SampledFunction, lmax: int) -> GramReport:
     for l in range(-lmax, lmax + 1):
         shifted = phi.values_at(indices - l * unit)
         h[l + lmax] = np.vdot(phi.values, shifted) * phi.step
+    if not np.isfinite(h).all():
+        raise ValueError("translate inner products are not finite")
     herm = float(np.abs(h - h[::-1].conj()).max())
     if herm > 1e-12:
         raise ValueError(f"translate inner products fail Hermitian symmetry by {herm:.3e}")
     i, j = np.indices((lmax + 1, lmax + 1))
     gram = h[(j - i) + lmax]
-    theta = 2.0 * np.pi * np.arange(GRAM_SAMPLES) / GRAM_SAMPLES
     ls = np.arange(-lmax, lmax + 1)
+    # the extrema sit where d/dtheta sum_l h_l e^{i l theta} vanishes, at the
+    # angles of the unit-circle roots of sum_l l h_l z^{l + lmax}
+    critical = np.angle(np.roots((ls * h)[::-1]))
+    theta = np.concatenate([2.0 * np.pi * np.arange(GRAM_SAMPLES) / GRAM_SAMPLES, critical])
     symbol = (np.exp(1j * np.outer(theta, ls)) @ h).real
     return GramReport(gram, (float(symbol.min()), float(symbol.max())))
 

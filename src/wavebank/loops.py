@@ -9,9 +9,10 @@ index bookkeeping with no arithmetic beyond the ``sqrt(N)`` scaling, and
 Degree-one elementary factors ``I - P + z P`` built from orthogonal
 projections generate every polynomial loop; `synthesize_from_spins` expands a
 constant unitary times such factors, and `factor_to_spins` peels rank-one
-factors back off, as many as the winding number of ``det A(z)``, from the
-loop or, when that misses the round trip, from its transpose.  Nothing here
-samples the circle.
+factors back off, as many as the winding number of ``det A(z)``, in up to
+three attempts: from the right of the loop, from its left (the transpose's
+right), and from both sides at the best split.  Only the split search, which
+scores its candidates at the roots of unity, evaluates the loop on the circle.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ _PRUNE_TOL = 1e-12
 class NotFactorableError(ValueError):
     """The peeled factors do not re-synthesize the loop within ``ROUNDTRIP_TOL``.
 
-    The input is not numerically paraunitary (a spin count above ``N *
-    degree`` is refused before any peel), or the peel lost accuracy on the
-    loop and on its transpose.  ``step`` is the number of factors peeled, and
+    The input is not numerically paraunitary (a non-finite coefficient or a
+    spin count above ``N * degree`` is refused before any peel), or all three
+    peels lost accuracy: off the right, off the left, and from both sides at
+    the best split.  ``step`` is the number of factors peeled, and
     ``conditioning = |P_1 P_2 ... P_k|_2`` of the refused factors is the
     factor by which the coefficient form shrinks the leading coefficient
     (``prod |<v_i, v_{i+1}>|`` for rank-one factors).  Both are optional for
@@ -213,32 +215,76 @@ def synthesize_from_spins(sf: SpinFactorization) -> PolyLoop:
     return PolyLoop(N, _prune(coeffs))
 
 
-def _peel(loop: PolyLoop, m: int, transpose: bool) -> tuple[SpinFactorization, int, float]:
-    """Peel ``m`` rank-one factors off ``loop`` (or its transpose), each from ``ker A_0``.
+def _peel_steps(coeffs: np.ndarray, m: int) -> list[np.ndarray]:
+    """Peel ``m`` rank-one factors off the right of ``coeffs`` in place, each from ``ker A_0``.
 
-    Returns the factors of ``loop``, the degree they re-synthesize and their
-    worst coefficient error.
+    Returns the spin vectors in peel order (rightmost factor first).
     """
-    N = loop.N
-    eye = np.eye(N, dtype=np.complex128)
-    coeffs = (loop.coeffs.transpose(0, 2, 1) if transpose else loop.coeffs).copy()
-    peeled: list[np.ndarray] = []  # spin vectors in peel order (rightmost factor first)
+    eye = np.eye(coeffs.shape[1], dtype=np.complex128)
+    peeled: list[np.ndarray] = []
     for _ in range(m):
         vectors = np.linalg.svd(coeffs[0])[2][-1:].conj()  # spans ker A_0
         P = _projection(vectors)
         coeffs[:-1] = coeffs[:-1] @ (eye - P) + coeffs[1:] @ P
         coeffs[-1] = coeffs[-1] @ (eye - P)
         peeled.append(vectors)
-    u, _, vh = np.linalg.svd(coeffs[0])
+    return peeled
+
+
+def _factor(coeffs: np.ndarray, m: int, transpose: bool) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """``V`` and the spins of ``m`` factors peeled off the right of ``coeffs``, or off its left.
+
+    Peeling the left means peeling the transpose's right, each spin from the
+    left kernel of ``A_0``; the factors come back as those of ``coeffs``.
+    """
+    work = (coeffs.transpose(0, 2, 1) if transpose else coeffs).copy()
+    peeled = _peel_steps(work, m)
+    u, _, vh = np.linalg.svd(work[0])
     V, spins = u @ vh, tuple(reversed(peeled))
     if transpose:  # A^T = W G(q_1) ... G(q_k) gives A = W^T G(conj(W q_k)) ... G(conj(W q_1))
         V, spins = V.T, tuple((q @ V.T).conj() for q in reversed(spins))
-    sf = SpinFactorization(N, V, spins)
+    return V, spins
+
+
+def _round_trip(loop: PolyLoop, V: np.ndarray, spins) -> tuple[SpinFactorization, int, float]:
+    """The factorization, the degree it re-synthesizes and its worst coefficient error."""
+    N = loop.N
+    sf = SpinFactorization(N, V, tuple(spins))
     back = synthesize_from_spins(sf).coeffs
     diff = np.zeros((max(back.shape[0], loop.coeffs.shape[0]), N, N), dtype=np.complex128)
     diff[: back.shape[0]] = back
     diff[: loop.coeffs.shape[0]] -= loop.coeffs
     return sf, back.shape[0] - 1, float(np.abs(diff).max())
+
+
+def _best_split(loop: PolyLoop, m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The two-sided peel at its best split: ``j`` factors off the right, ``m - j`` off the left.
+
+    One right peel keeps its remainders, and each remainder is peeled from
+    the left.  The ``m + 1`` candidates are scored by their error at the
+    ``m + 1`` roots of unity: the error has degree at most ``m``, so its
+    square sum there is ``m + 1`` times the squared coefficient 2-norm.
+    """
+    N, coeffs = loop.N, loop.coeffs.copy()
+    z = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
+    zm1 = (z - 1.0)[:, None, None]
+    target = np.tensordot(z[:, None] ** np.arange(coeffs.shape[0]), coeffs, axes=1)
+    suffix = np.broadcast_to(np.eye(N, dtype=np.complex128), target.shape)  # the right factors at z
+    right: list[np.ndarray] = []  # the right spins in peel order
+    best, best_score = None, math.inf
+    for j in range(m + 1):
+        if j:
+            v = _peel_steps(coeffs, 1)[0]
+            right.append(v)
+            suffix = suffix + zm1 * (v.T @ (v.conj() @ suffix))  # (I - P + z P) suffix
+        V, left = _factor(coeffs, m - j, transpose=True)
+        values = np.broadcast_to(V, target.shape)
+        for v in left:
+            values = values + zm1 * ((values @ v.T) @ v.conj())  # values (I - P + z P)
+        score = float((np.abs(values @ suffix - target) ** 2).sum())
+        if best is None or score < best_score:
+            best, best_score = (V, left + tuple(reversed(right))), score
+    return best
 
 
 def factor_to_spins(loop: PolyLoop) -> SpinFactorization:
@@ -256,38 +302,48 @@ def factor_to_spins(loop: PolyLoop) -> SpinFactorization:
     `synthesize_from_spins` reproduces the input.
 
     When the round trip misses, the same peel runs once on the transpose,
-    taking each spin from the left kernel of ``A_0``, and the attempt with the
-    smaller error is kept; a loop the first peel factors never reaches it.
-    NotFactorableError is raised when neither attempt re-synthesizes the
-    input (a different degree, or a coefficient off by more than
-    ``ROUNDTRIP_TOL``), naming the kept attempt's residual, step (the number
-    of factors peeled) and conditioning.  This happens on inputs that are not
-    numerically paraunitary and when both peels lose accuracy at high degree.
-    A count above ``N * degree``, the most rank-one factors that degree
-    holds, is refused before any peel, naming the relations residual.
+    taking each spin from the left kernel of ``A_0``; when that misses too,
+    the two-sided peel runs at its best split, ``j`` factors off the right and
+    ``m - j`` off the left, the split chosen by the error at the ``m + 1``
+    roots of unity.  The first of the three attempts that passes is kept,
+    else the one with the smallest error, so a loop an earlier attempt
+    factors never reaches a later one.  NotFactorableError is raised when no
+    attempt re-synthesizes the input (a different degree, or a coefficient
+    off by more than ``ROUNDTRIP_TOL``), naming the kept attempt's residual,
+    step (the number of factors peeled) and conditioning.  This happens on
+    inputs that are not numerically paraunitary and when every peel loses
+    accuracy at high degree.  A loop holding a non-finite coefficient is
+    refused first, and a count above ``N * degree``, the most rank-one factors
+    that degree holds, before any peel, naming the relations residual.
     """
     N, D = loop.N, loop.degree
+    if not np.isfinite(loop.coeffs).all():
+        raise NotFactorableError("the loop holds a non-finite coefficient", math.inf)
     count = float(np.arange(D + 1) @ (np.abs(loop.coeffs) ** 2).sum(axis=(1, 2)))
-    if not count < N * D + 0.5:  # it rounds above N * D, or is not a number
+    if not count < N * D + 0.5:  # it rounds above N * D
         raise NotFactorableError(
             f"the spin count sum_d d |A_d|_F^2 = {count:.6g} exceeds N * degree = {N * D}, "
             f"the most rank-one factors a degree-{D} loop holds",
             relations_check(loop.coeffs).residual,
         )
     m = round(count)
-    sf, degree, error = _peel(loop, m, transpose=False)
-    if degree != D or not error <= ROUNDTRIP_TOL:
-        retry = _peel(loop, m, transpose=True)
-        _, r_degree, r_error = retry
-        if (r_degree == D and r_error <= ROUNDTRIP_TOL) or r_error < error:
-            sf, degree, error = retry
-    if degree != D or not error <= ROUNDTRIP_TOL:
-        product = reduce(np.matmul, sf.projections(), np.eye(N, dtype=np.complex128))
-        raise NotFactorableError(
-            f"the factors re-synthesize a degree-{degree} loop that misses the "
-            f"degree-{D} input by more than {ROUNDTRIP_TOL:.0e}",
-            error,
-            len(sf.factors),
-            float(np.linalg.norm(product, 2)),
-        )
-    return sf
+    attempts = (
+        lambda: _factor(loop.coeffs, m, transpose=False),
+        lambda: _factor(loop.coeffs, m, transpose=True),
+        lambda: _best_split(loop, m),
+    )
+    sf, degree, error = None, -1, math.inf
+    for attempt in attempts:
+        tried = _round_trip(loop, *attempt())
+        if tried[1] == D and tried[2] <= ROUNDTRIP_TOL:
+            return tried[0]
+        if sf is None or tried[2] < error:
+            sf, degree, error = tried
+    product = reduce(np.matmul, sf.projections(), np.eye(N, dtype=np.complex128))
+    raise NotFactorableError(
+        f"the factors re-synthesize a degree-{degree} loop that misses the "
+        f"degree-{D} input by more than {ROUNDTRIP_TOL:.0e}",
+        error,
+        len(sf.factors),
+        float(np.linalg.norm(product, 2)),
+    )

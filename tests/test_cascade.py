@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_signal, random_spin_bank
 from wavebank import (
@@ -19,6 +21,7 @@ from wavebank import (
     refinement_residual,
     translate_gram,
 )
+from wavebank.cascade import GRAM_SAMPLES, _dilated_filter_apply
 
 SQRT2 = math.sqrt(2.0)
 
@@ -208,6 +211,59 @@ def test_gram_db4_near_identity():
     assert np.abs(rep.gram - np.eye(4)).max() <= 1e-2
     with pytest.raises(ValueError):
         translate_gram(phi, 2)  # lmax below the support width
+
+
+def test_frame_bounds_see_the_symbols_zeros():
+    # the normalized box of width 3 has symbol |1 + z + z^2|^2 / 3, which vanishes
+    # at exp(2 pi i / 3), between the equispaced points
+    phi = box_function(7, width=3, amplitude=1 / math.sqrt(3))
+    c1, c2 = translate_gram(phi, 3).frame_bounds
+    assert abs(c1) <= 1e-12
+    assert c2 == pytest.approx(3.0, abs=1e-10)
+    # db4's bounds are those of the equispaced points alone, within 1e-12
+    rep = translate_gram(cascade_iterate(preset_bank("db4"), depth=12).phi, 3)
+    h = np.concatenate([rep.gram[0, :0:-1].conj(), rep.gram[0]])
+    theta = 2.0 * np.pi * np.arange(GRAM_SAMPLES) / GRAM_SAMPLES
+    symbol = (np.exp(1j * np.outer(theta, np.arange(-3, 4))) @ h).real
+    assert abs(rep.frame_bounds[0] - symbol.min()) <= 1e-12
+    assert abs(rep.frame_bounds[1] - symbol.max()) <= 1e-12
+
+
+def per_tap_apply(f, coeffs, lo, hi):
+    """Oracle: ``sum_k c_k f(N x - k)`` as one masked gather per tap over the whole range."""
+    N = f.scale
+    unit = N**f.depth
+    p = np.arange(lo, hi + 1)
+    out = np.zeros(p.size, dtype=np.complex128)
+    for i, c in enumerate(coeffs.taps):
+        out += c * f.values_at(N * p - (coeffs.offset + i) * unit)
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.sampled_from([2, 3, 4, 8]),
+    st.integers(0, 4),
+    st.integers(-200, 200),
+    st.integers(1, 60),
+    st.integers(1, 6),
+    st.integers(-5, 5),
+    st.integers(-3, 3),
+    st.integers(0, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_dilated_filter_apply_keeps_the_per_tap_bits(N, depth, start, size, ntaps, offset, where, width, seed):
+    rng = np.random.default_rng(seed)
+    f = SampledFunction(random_signal(rng, size), N, depth, start)
+    coeffs = FilterCoeffs(random_signal(rng, ntaps), offset, unpruned=True)
+    unit = N**depth
+    # outputs near the read range of the first tap, shifted by whole multiples of
+    # its length: inside, overlapping and wholly outside the stored samples
+    reach = (size + ntaps * unit) // N + 1
+    lo = (start + offset * unit) // N + where * reach - width // 2
+    hi = lo + width
+    got = _dilated_filter_apply(f, coeffs, lo, hi)
+    assert got.tobytes() == per_tap_apply(f, coeffs, lo, hi).tobytes()
 
 
 def test_frame_map_delta_is_phi():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,18 @@ def test_factor_retries_on_the_transpose_before_it_refuses():
         assert np.abs(back.coeffs - loop.coeffs).max() <= 1e-10
 
 
+def test_a_non_finite_loop_is_refused_before_the_spin_count():
+    coeffs = filters_to_loop(preset_bank("db4")).coeffs
+    for index, value in (((0, 0, 0), np.inf), ((1, 1, 0), np.nan)):
+        broken = coeffs.copy()
+        broken[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotFactorableError, match="non-finite coefficient") as exc:
+                factor_to_spins(PolyLoop(2, broken))
+        assert exc.value.step is None and exc.value.conditioning is None
+
+
 def test_factor_rejects_non_paraunitary():
     loop = filters_to_loop(preset_bank("db4"))
     coeffs = loop.coeffs.copy()
@@ -357,11 +370,24 @@ def test_factor_rejects_non_paraunitary():
     assert exc.value.residual > 1e-8
 
 
-def test_factor_refuses_factors_that_miss_the_round_trip():
-    # both peels complete on these loops, but the better of their factors
-    # re-synthesizes them with coefficient errors of about 5.8e-10 (the loop's
-    # own peel) and 2.4e-10 (the transpose's)
+def test_factor_splits_the_peel_before_it_refuses():
+    # the loop's own peel and the transpose's miss the round trip on these
+    # loops (5.8e-10 and 1.3e-5 at seed 17, 6.8e-8 and 2.4e-10 at seed 48);
+    # the two-sided peel at its best split factors them to 1.5e-15 and 2.0e-15
     for seed, N, k in ((17, 2, 24), (48, 3, 24)):
+        loop = synthesize_from_spins(random_spins(np.random.default_rng(seed), N, k))
+        sf = factor_to_spins(loop)
+        assert len(sf.factors) == k and all(vecs.shape[0] == 1 for vecs in sf.factors)
+        back = synthesize_from_spins(sf)
+        assert back.degree == loop.degree
+        assert np.abs(back.coeffs - loop.coeffs).max() <= 1e-10
+
+
+def test_factor_refuses_factors_that_miss_the_round_trip():
+    # all three peels complete on these loops, but the best of their factors
+    # re-synthesizes them with coefficient errors of about 2.3e-10 (the best
+    # split's, at seed 8) and 7.6e-10 (the transpose's, at seed 13)
+    for seed, N, k in ((8, 2, 32), (13, 3, 24)):
         loop = synthesize_from_spins(random_spins(np.random.default_rng(seed), N, k))
         with pytest.raises(NotFactorableError, match="re-synthesize") as exc:
             factor_to_spins(loop)
@@ -372,7 +398,7 @@ def test_factor_refuses_factors_that_miss_the_round_trip():
 def test_refusal_names_the_step_and_the_conditioning():
     # for rank-one factors |P_1 ... P_k|_2 = prod |<v_i, v_{i+1}>|, and the refused
     # factors match the generating spin vectors up to phase
-    for seed, N, k in ((17, 2, 24), (48, 3, 24)):
+    for seed, N, k in ((8, 2, 32), (13, 3, 24)):
         spins = random_spins(np.random.default_rng(seed), N, k)
         with pytest.raises(NotFactorableError) as exc:
             factor_to_spins(synthesize_from_spins(spins))
