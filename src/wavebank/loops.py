@@ -249,7 +249,7 @@ def _factor(coeffs: np.ndarray, m: int, transpose: bool) -> tuple[np.ndarray, tu
 def _round_trip(loop: PolyLoop, V: np.ndarray, spins) -> tuple[SpinFactorization, int, float]:
     """The factorization, the degree it re-synthesizes and its worst coefficient error."""
     N = loop.N
-    sf = SpinFactorization(N, V, tuple(spins))
+    sf = SpinFactorization(N, V, spins)
     back = synthesize_from_spins(sf).coeffs
     diff = np.zeros((max(back.shape[0], loop.coeffs.shape[0]), N, N), dtype=np.complex128)
     diff[: back.shape[0]] = back
