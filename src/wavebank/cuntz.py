@@ -4,8 +4,10 @@ A scale-N orthogonal bank defines N isometries ``(S_j xi)_k =
 N^{-1/2} sum_l a^{(j)}_{k - N l} xi_l`` with orthogonal ranges that sum to the
 identity.  On an L-periodic index set (N dividing L, L at least the tap span)
 those relations hold exactly, and `verify_cuntz` reads them off the lag
-products of the polyphase stack folded modulo L/N.  The half-line invariance
-probe needs no operator at all: its leaks are tail norms of the taps.
+products of the polyphase stack folded modulo L/N; the same fold of the
+low-pass lag products certifies the subband ladder at each stage period.
+The half-line invariance probe needs no operator at all: its leaks are tail
+norms of the taps.
 
 Reducibility is decided structurally on the polyphase loop: the system is
 reducible exactly when the loop carries a monomial corner, i.e. standard
@@ -85,9 +87,23 @@ def build_operators(bank: FilterBank, L: int) -> CuntzSystem:
     span = max(f.span for f in bank.filters)
     if L < span:
         raise ValueError(f"period {L} is shorter than the tap span {span}; taps would alias")
-    idx = (np.arange(L)[:, None] - N * np.arange(L // N)[None, :]) % L
-    ops = tuple(f.dense(L)[idx] / math.sqrt(N) for f in bank.filters)
-    return CuntzSystem(bank, L, ops)
+    return CuntzSystem(bank, L, _periodized(bank.filters, N, L))
+
+
+def _periodized(filters, N: int, P: int) -> tuple[np.ndarray, ...]:
+    """Each channel's ``P x (P/N)`` matrix ``S[k, l] = a_{(k-Nl) mod P} / sqrt(N)``."""
+    idx = (np.arange(P)[:, None] - N * np.arange(P // N)[None, :]) % P
+    return tuple(f.dense(P)[idx] / math.sqrt(N) for f in filters)
+
+
+def _folded(C: np.ndarray, M: int) -> np.ndarray:
+    """``F_r - delta_r0 I``, ``F_r = sum_{m = r mod M} C_m`` over the lags ``|m| < len(C)``, ``C_{-m} = C_m^*``."""
+    lags = np.arange(len(C))
+    F = np.zeros((M,) + C.shape[1:], dtype=np.complex128)
+    np.add.at(F, lags % M, C)
+    np.add.at(F, -lags[1:] % M, C[1:].conj().transpose(0, 2, 1))
+    F[0] -= np.eye(C.shape[1])
+    return F
 
 
 def verify_cuntz(sys: CuntzSystem) -> CuntzReport:
@@ -98,15 +114,8 @@ def verify_cuntz(sys: CuntzSystem) -> CuntzReport:
     (``C_{-m} = C_m^*``), those of ``sum_j S_j S_j^*`` the same fold for the
     transposed stack; each residual is ``max |F_r - delta_r0 I|``.
     """
-    N, M, stack = sys.N, sys.L // sys.N, _polyphase_stack(sys.bank)
-    lags, residuals = np.arange(len(stack)), []
-    for A in (stack, stack.transpose(0, 2, 1)):
-        C = _lag_products(A)
-        F = np.zeros((M, N, N), dtype=np.complex128)
-        np.add.at(F, lags % M, C)
-        np.add.at(F, -lags[1:] % M, C[1:].conj().transpose(0, 2, 1))
-        F[0] -= np.eye(N)
-        residuals.append(float(np.abs(F).max()))
+    M, stack = sys.L // sys.N, _polyphase_stack(sys.bank)
+    residuals = (float(np.abs(_folded(_lag_products(A), M)).max()) for A in (stack, stack.transpose(0, 2, 1)))
     return CuntzReport(*residuals)
 
 
@@ -116,12 +125,13 @@ class SubbandLadder:
 
     ``projections[n-1]`` projects onto the image of the wandering subspace
     ``L = ker S_0^*`` under ``n-1`` applications of the low-pass isometry;
-    ``tail`` is the remaining coarse space ``S_0^d S_0^{*d}``.
+    ``tail`` is the remaining coarse space ``S_0^d S_0^{*d}``; ``bound`` certifies them.
     """
 
     depth: int
     projections: tuple[np.ndarray, ...]
     tail: np.ndarray
+    bound: float
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -135,10 +145,19 @@ class SubbandLadder:
 def subband_ladder(sys: CuntzSystem, depth: int) -> SubbandLadder:
     """Build the depth-d resolution ladder ``proj(S_0^{n-1} L) = B_{n-1} B_{n-1}^* - B_n B_n^*``.
 
-    ``B_n`` chains the low-pass isometries of periods ``L, L/N, ...``; the
-    level-n projection has rank ``L (N-1) / N^n`` and the tail ``L / N^d``.
-    The projection system is validated (idempotent, self-adjoint, mutually
-    orthogonal, summing to the identity within ``LADDER_TOL``) before returning.
+    ``B_n`` chains the low-pass isometries of periods ``P_n = L, L/N, ...``,
+    each built from the taps (never from ``sys.ops``); the level-n projection
+    has rank ``L (N-1) / N^n`` and the tail ``L / N^d``.  Before any product
+    the ladder is certified: ``S_0^* S_0`` at period ``P_n`` is circulant on
+    the low-pass lag products folded modulo ``P_n / N``, so its defect
+    ``eta_n = |S_0^* S_0 - I|_2`` is their largest |DFT|.  With
+    ``gamma = prod (1 + eta_n) - 1 >= |B_n^* B_n - I|_2``, the projections are
+    self-adjoint and sum to I, and each is idempotent and orthogonal to the
+    others within ``4 gamma (1 + gamma)``, in exact arithmetic.  The rounding
+    term ``2 (d + 1) (L + 2) eps`` allows ``2 (d + 1)`` complex products of
+    inner dimension at most L, each off by at most ``(L + 2) eps`` per entry at
+    unit norms (Higham, *Accuracy and Stability*, 2nd ed., Lemma 3.5).  A sum
+    above ``LADDER_TOL`` is refused, and so is a trace that misses its rank.
     """
     bank, L, N = sys.bank, sys.L, sys.N
     if depth < 1:
@@ -148,43 +167,24 @@ def subband_ladder(sys: CuntzSystem, depth: int) -> SubbandLadder:
     span = max(f.span for f in bank.filters)
     if L // N ** (depth - 1) < span:
         raise ValueError(f"depth {depth} too large for L = {L}: stage period drops below the tap span")
-
-    projections = []
-    B = np.eye(L, dtype=np.complex128)
-    prev = np.eye(L, dtype=np.complex128)
-    period = L
-    for _ in range(depth):
-        stage = sys.ops[0] if period == L else build_operators(bank, period).ops[0]
-        B = B @ stage
+    periods, low = [L // N**n for n in range(depth)], _lag_products(_polyphase_stack(bank)[:, :1])
+    etas = [float(np.abs(np.fft.fft(_folded(low, P // N)[:, 0, 0])).max()) for P in periods]
+    gamma = math.prod(1.0 + eta for eta in etas) - 1.0
+    bound = 4.0 * gamma * (1.0 + gamma) + 2 * (depth + 1) * (L + 2) * np.finfo(float).eps
+    if not bound <= LADDER_TOL:
+        raise ValueError(f"ladder certificate {bound:.3e} exceeds {LADDER_TOL}: the low-pass is not isometric")
+    projections, B, prev = [], None, np.eye(L, dtype=np.complex128)
+    for P in periods:
+        stage = _periodized(bank.filters[:1], N, P)[0]
+        B = stage if B is None else B @ stage
         cur = B @ B.conj().T
         projections.append(prev - cur)
         prev = cur
-        period //= N
-
-    ladder = SubbandLadder(depth, tuple(projections), prev)
-    _validate_ladder(ladder, L, N)
+    ladder = SubbandLadder(depth, tuple(projections), prev, bound)
+    expected = tuple(L * (N - 1) // N**n for n in range(1, depth + 1)), L // N**depth
+    if (ladder.ranks, ladder.tail_rank) != expected:
+        raise ValueError(f"ladder ranks {ladder.ranks}+{ladder.tail_rank} differ from expected {expected}")
     return ladder
-
-
-def _validate_ladder(ladder: SubbandLadder, L: int, N: int) -> None:
-    parts = list(ladder.projections) + [ladder.tail]
-    total = np.zeros((L, L), dtype=np.complex128)
-    for i, P in enumerate(parts):
-        if np.abs(P - P.conj().T).max() > LADDER_TOL:
-            raise ValueError(f"ladder projection {i} is not self-adjoint within {LADDER_TOL}")
-        if np.abs(P @ P - P).max() > LADDER_TOL:
-            raise ValueError(f"ladder projection {i} is not idempotent within {LADDER_TOL}")
-        for k in range(i):
-            if np.abs(parts[k] @ P).max() > LADDER_TOL:
-                raise ValueError(f"ladder projections {k} and {i} are not orthogonal within {LADDER_TOL}")
-        total += P
-    if np.abs(total - np.eye(L)).max() > LADDER_TOL:
-        raise ValueError(f"ladder projections do not sum to the identity within {LADDER_TOL}")
-    expected = [L * (N - 1) // N ** n for n in range(1, ladder.depth + 1)]
-    if list(ladder.ranks) != expected or ladder.tail_rank != L // N**ladder.depth:
-        raise ValueError(
-            f"ladder ranks {ladder.ranks}+{ladder.tail_rank} differ from expected {expected}+{L // N**ladder.depth}"
-        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,9 +10,10 @@ Degree-one elementary factors ``I - P + z P`` built from orthogonal
 projections generate every polynomial loop; `synthesize_from_spins` expands a
 constant unitary times such factors, and `factor_to_spins` peels rank-one
 factors back off, as many as the winding number of ``det A(z)``, in up to
-three attempts: from the right of the loop, from its left (the transpose's
-right), and from both sides at the best split.  Only the split search, which
-scores its candidates at the roots of unity, evaluates the loop on the circle.
+four attempts: from the right of the loop, from its left (the transpose's
+right), and from both sides at the best split, right first and then left
+first.  Only the split searches, which score their candidates at the roots of
+unity, evaluate the loop on the circle.
 """
 
 from __future__ import annotations
@@ -43,17 +44,20 @@ __all__ = [
 # re-synthesizes its factors.
 ROUNDTRIP_TOL = 1e-10
 _PRUNE_TOL = 1e-12
+# About the most bytes that one batch of split candidates holds in remainders
+# and values at the roots of unity, which grow as the spin count squared.
+_SPLIT_BYTES = 1 << 25
 
 
 class NotFactorableError(ValueError):
     """The peeled factors do not re-synthesize the loop within ``ROUNDTRIP_TOL``.
 
     The input is not numerically paraunitary (a non-finite coefficient or a
-    spin count above ``N * degree`` is refused before any peel), or all three
+    spin count above ``N * degree`` is refused before any peel), or all four
     peels lost accuracy: off the right, off the left, and from both sides at
-    the best split.  ``step`` is the number of factors peeled, and
-    ``conditioning = |P_1 P_2 ... P_k|_2`` of the refused factors is the
-    factor by which the coefficient form shrinks the leading coefficient
+    the best split, either side first.  ``step`` is the number of factors
+    peeled, and ``conditioning = |P_1 P_2 ... P_k|_2`` of the refused factors
+    is the factor by which the coefficient form shrinks the leading coefficient
     (``prod |<v_i, v_{i+1}>|`` for rank-one factors).  Both are optional for
     callers that raise it without a peel.
     """
@@ -215,6 +219,11 @@ def synthesize_from_spins(sf: SpinFactorization) -> PolyLoop:
     return PolyLoop(N, _prune(coeffs))
 
 
+def _kernel_spin(A0: np.ndarray) -> np.ndarray:
+    """The unit row spanning ``ker A0`` (the last right singular vector), for each matrix of a stack."""
+    return np.linalg.svd(A0)[2][..., -1:, :].conj()
+
+
 def _peel_steps(coeffs: np.ndarray, m: int) -> list[np.ndarray]:
     """Peel ``m`` rank-one factors off the right of ``coeffs`` in place, each from ``ker A_0``.
 
@@ -223,7 +232,7 @@ def _peel_steps(coeffs: np.ndarray, m: int) -> list[np.ndarray]:
     eye = np.eye(coeffs.shape[1], dtype=np.complex128)
     peeled: list[np.ndarray] = []
     for _ in range(m):
-        vectors = np.linalg.svd(coeffs[0])[2][-1:].conj()  # spans ker A_0
+        vectors = _kernel_spin(coeffs[0])
         P = _projection(vectors)
         coeffs[:-1] = coeffs[:-1] @ (eye - P) + coeffs[1:] @ P
         coeffs[-1] = coeffs[-1] @ (eye - P)
@@ -231,19 +240,30 @@ def _peel_steps(coeffs: np.ndarray, m: int) -> list[np.ndarray]:
     return peeled
 
 
-def _factor(coeffs: np.ndarray, m: int, transpose: bool) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """``V`` and the spins of ``m`` factors peeled off the right of ``coeffs``, or off its left.
+def _peel_stacked(work: np.ndarray, v: np.ndarray) -> None:
+    """One right peel of each stack ``work[b]`` by its spin ``v[b]``, in place, as rank-one updates.
 
-    Peeling the left means peeling the transpose's right, each spin from the
-    left kernel of ``A_0``; the factors come back as those of ``coeffs``.
+    ``A(z) (I - P + P/z)`` has the coefficients ``A_d + ((A_{d+1} - A_d) v^T) conj(v)``.
     """
-    work = (coeffs.transpose(0, 2, 1) if transpose else coeffs).copy()
+    w = work @ v.transpose(0, 2, 1)[:, None]  # A_d v^T
+    work[:, :-1] += (w[:, 1:] - w[:, :-1]) * v.conj()[:, None]
+    work[:, -1] -= w[:, -1] * v.conj()
+
+
+def _factor(coeffs: np.ndarray, m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """``V`` and the spins of ``m`` factors peeled off the right of ``coeffs``."""
+    work = coeffs.copy()
     peeled = _peel_steps(work, m)
     u, _, vh = np.linalg.svd(work[0])
-    V, spins = u @ vh, tuple(reversed(peeled))
-    if transpose:  # A^T = W G(q_1) ... G(q_k) gives A = W^T G(conj(W q_k)) ... G(conj(W q_1))
-        V, spins = V.T, tuple((q @ V.T).conj() for q in reversed(spins))
-    return V, spins
+    return u @ vh, tuple(reversed(peeled))
+
+
+def _from_transpose(W: np.ndarray, spins) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The factors of ``A`` from those of ``A^T``.
+
+    ``A^T = W G(q_1) ... G(q_k)`` gives ``A = W^T G(conj(W q_k)) ... G(conj(W q_1))``.
+    """
+    return W.T, tuple((q @ W.T).conj() for q in reversed(spins))
 
 
 def _round_trip(loop: PolyLoop, V: np.ndarray, spins) -> tuple[SpinFactorization, int, float]:
@@ -257,33 +277,65 @@ def _round_trip(loop: PolyLoop, V: np.ndarray, spins) -> tuple[SpinFactorization
     return sf, back.shape[0] - 1, float(np.abs(diff).max())
 
 
-def _best_split(loop: PolyLoop, m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The two-sided peel at its best split: ``j`` factors off the right, ``m - j`` off the left.
+def _split_batches(coeffs: np.ndarray, m: int):
+    """The candidates of the two-sided peel: ``j`` factors off the right, ``m - j`` off the left.
 
-    One right peel keeps its remainders, and each remainder is peeled from
-    the left.  The ``m + 1`` candidates are scored by their error at the
-    ``m + 1`` roots of unity: the error has degree at most ``m``, so its
-    square sum there is ``m + 1`` times the squared coefficient 2-norm.
+    One right peel keeps its remainders.  Their left peels run together, as
+    stacked steps with one stacked SVD each, while each candidate's factors
+    multiply up at the ``m + 1`` roots of unity.  There the candidates are
+    scored: the error has degree at most ``m``, so its square sum at those
+    points is ``m + 1`` times the squared coefficient 2-norm.  Candidates come
+    in batches of at most ``_SPLIT_BYTES``, each as ``(j0, W, peeled, right,
+    scores)``: candidate ``j0 + i`` left-peeled its remainder's transpose to
+    ``W[i]`` by the spins ``peeled[i]``, and ``right`` holds the right spins.
     """
-    N, coeffs = loop.N, loop.coeffs.copy()
+    D1, N = coeffs.shape[:2]
     z = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
     zm1 = (z - 1.0)[:, None, None]
-    target = np.tensordot(z[:, None] ** np.arange(coeffs.shape[0]), coeffs, axes=1)
-    suffix = np.broadcast_to(np.eye(N, dtype=np.complex128), target.shape)  # the right factors at z
+    target = np.tensordot(z[:, None] ** np.arange(D1), coeffs, axes=1)
+    eye = np.broadcast_to(np.eye(N, dtype=np.complex128), target.shape)
+    rem, suffix = coeffs[None].copy(), eye  # the right peel's remainder, and its factors at z
     right: list[np.ndarray] = []  # the right spins in peel order
+    size = max(1, _SPLIT_BYTES // (16 * N * N * (D1 + 2 * (m + 1))))
+    for j0 in range(0, m + 1, size):
+        count = min(size, m + 1 - j0)
+        work = np.empty((count, D1, N, N), dtype=np.complex128)  # the remainders' transposes
+        suffixes = np.empty((count,) + target.shape, dtype=np.complex128)
+        for i in range(count):
+            if j0 + i:
+                v = _kernel_spin(rem[:, 0])
+                _peel_stacked(rem, v)
+                right.append(v[0])
+                suffix = suffix + zm1 * (v[0].T * (v[0].conj() @ suffix))  # (I - P + z P) suffix
+            work[i], suffixes[i] = rem[0].transpose(0, 2, 1), suffix
+        values = np.repeat(eye[None], count, axis=0)  # the transposes' left factors at z
+        peeled = np.empty((count, m - j0, 1, N), dtype=np.complex128)
+        for s in range(m - j0):
+            b = min(count, m - j0 - s)  # the remainders that still peel
+            q = _kernel_spin(work[:b, 0])
+            _peel_stacked(work[:b], q)
+            values[:b] += zm1 * (q.transpose(0, 2, 1)[:, None] * (q.conj()[:, None] @ values[:b]))
+            peeled[:b, s] = q
+        u, _, vh = np.linalg.svd(work[:, 0])
+        W = u @ vh
+        fits = (W[:, None] @ values).transpose(0, 1, 3, 2) @ suffixes  # each candidate at z
+        scores = (np.abs(fits - target) ** 2).sum(axis=(1, 2, 3))
+        yield j0, W, peeled, right, scores
+
+
+def _split_candidate(m: int, j: int, W: np.ndarray, peeled: np.ndarray, right) -> tuple[np.ndarray, tuple]:
+    """``V`` and the spins of split candidate ``j``, from its entries in `_split_batches`."""
+    V, left = _from_transpose(W, tuple(reversed(peeled[: m - j])))
+    return V, left + tuple(reversed(right[:j]))
+
+
+def _split(coeffs: np.ndarray, m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The two-sided peel at its best split, the first candidate of the smallest score."""
     best, best_score = None, math.inf
-    for j in range(m + 1):
-        if j:
-            v = _peel_steps(coeffs, 1)[0]
-            right.append(v)
-            suffix = suffix + zm1 * (v.T @ (v.conj() @ suffix))  # (I - P + z P) suffix
-        V, left = _factor(coeffs, m - j, transpose=True)
-        values = np.broadcast_to(V, target.shape)
-        for v in left:
-            values = values + zm1 * ((values @ v.T) @ v.conj())  # values (I - P + z P)
-        score = float((np.abs(values @ suffix - target) ** 2).sum())
-        if best is None or score < best_score:
-            best, best_score = (V, left + tuple(reversed(right))), score
+    for j0, W, peeled, right, scores in _split_batches(coeffs, m):
+        i = int(np.argmin(scores))
+        if best is None or scores[i] < best_score:
+            best, best_score = _split_candidate(m, j0 + i, W[i], peeled[i], right), scores[i]
     return best
 
 
@@ -305,16 +357,19 @@ def factor_to_spins(loop: PolyLoop) -> SpinFactorization:
     taking each spin from the left kernel of ``A_0``; when that misses too,
     the two-sided peel runs at its best split, ``j`` factors off the right and
     ``m - j`` off the left, the split chosen by the error at the ``m + 1``
-    roots of unity.  The first of the three attempts that passes is kept,
-    else the one with the smallest error, so a loop an earlier attempt
-    factors never reaches a later one.  NotFactorableError is raised when no
-    attempt re-synthesizes the input (a different degree, or a coefficient
-    off by more than ``ROUNDTRIP_TOL``), naming the kept attempt's residual,
-    step (the number of factors peeled) and conditioning.  This happens on
-    inputs that are not numerically paraunitary and when every peel loses
-    accuracy at high degree.  A loop holding a non-finite coefficient is
-    refused first, and a count above ``N * degree``, the most rank-one factors
-    that degree holds, before any peel, naming the relations residual.
+    roots of unity, and last the mirrored split, left first and then right
+    (the split of the transpose).  The first of the four attempts that passes
+    is kept, else the one with the smallest error, so a loop an earlier
+    attempt factors never reaches a later one.  The splits' factors come from
+    rank-one coefficient updates, the one-sided peels' from matrix products.
+    NotFactorableError is raised when no attempt re-synthesizes the input (a
+    different degree, or a coefficient off by more than ``ROUNDTRIP_TOL``),
+    naming the kept attempt's residual, step (the number of factors peeled)
+    and conditioning.  This happens on inputs that are not numerically
+    paraunitary and when every peel loses accuracy at high degree.  A loop
+    holding a non-finite coefficient is refused first, and a count above
+    ``N * degree``, the most rank-one factors that degree holds, before any
+    peel, naming the relations residual.
     """
     N, D = loop.N, loop.degree
     if not np.isfinite(loop.coeffs).all():
@@ -327,10 +382,12 @@ def factor_to_spins(loop: PolyLoop) -> SpinFactorization:
             relations_check(loop.coeffs).residual,
         )
     m = round(count)
+    T = loop.coeffs.transpose(0, 2, 1)
     attempts = (
-        lambda: _factor(loop.coeffs, m, transpose=False),
-        lambda: _factor(loop.coeffs, m, transpose=True),
-        lambda: _best_split(loop, m),
+        lambda: _factor(loop.coeffs, m),
+        lambda: _from_transpose(*_factor(T, m)),
+        lambda: _split(loop.coeffs, m),
+        lambda: _from_transpose(*_split(T, m)),
     )
     sf, degree, error = None, -1, math.inf
     for attempt in attempts:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spin_bank, random_spins, random_unitary
@@ -24,6 +24,7 @@ from wavebank import (
     synthesize_from_spins,
     verify_cuntz,
 )
+from wavebank.cuntz import LADDER_TOL
 
 SQRT2 = math.sqrt(2.0)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2
@@ -172,20 +173,79 @@ def test_first_ladder_level_is_highpass_range():
         assert np.abs(lad.projections[0] - high).max() <= 1e-12
 
 
+def dense_ladder(bank, L, depth):
+    """The ladder's projections and tail from the chained dense low-pass operators, as an oracle."""
+    B, prev, parts = np.eye(L, dtype=np.complex128), np.eye(L, dtype=np.complex128), []
+    for n in range(depth):
+        B = B @ build_operators(bank, L // bank.N**n).ops[0]
+        cur = B @ B.conj().T
+        parts.append(prev - cur)
+        prev = cur
+    return parts + [prev]
+
+
+def dense_ladder_defect(parts):
+    """The worst deviation of ``parts`` from an orthogonal decomposition of I, by dense products."""
+    worst, total = 0.0, np.zeros_like(parts[0])
+    for i, P in enumerate(parts):
+        worst = max(worst, np.abs(P - P.conj().T).max(), np.abs(P @ P - P).max())
+        worst = max([worst] + [np.abs(parts[k] @ P).max() for k in range(i)])
+        total += P
+    return max(worst, float(np.abs(total - np.eye(len(total))).max()))
+
+
+def smallest_ladder_period(bank, depth):
+    # N^depth divides it, and the last stage's period, L / N^(depth - 1), holds the taps
+    span = max(f.span for f in bank.filters)
+    return bank.N**depth * -(-span // bank.N)
+
+
 @settings(derandomize=True, deadline=None)
-@given(st.integers(2, 4), st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@given(st.sampled_from([2, 3, 4, 8]), st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_subband_ladder_on_spin_banks(N, k, depth, seed):
     bank = random_spin_bank(np.random.default_rng(seed), N, k)
-    span = max(f.span for f in bank.filters)
-    # the smallest period the ladder accepts: N^depth divides it, and the last
-    # stage's period, L / N^(depth - 1), is at least the tap span
-    L = N**depth * -(-span // N)
+    L = smallest_ladder_period(bank, depth)
+    assume(L <= 512)
     sys = build_operators(bank, L)
     lad = subband_ladder(sys, depth)
     assert lad.ranks == tuple(L * (N - 1) // N**n for n in range(1, depth + 1))
     assert lad.tail_rank == L // N**depth
     high = sum(S @ S.conj().T for S in sys.ops[1:])
     assert np.abs(lad.projections[0] - high).max() <= 1e-12
+    parts = dense_ladder(bank, L, depth)
+    for P, Q in zip(lad.projections + (lad.tail,), parts):
+        assert np.abs(P - Q).max() <= 1e-12
+    # the certificate bounds the dense checks, so they pass wherever it does
+    assert dense_ladder_defect(parts) <= lad.bound <= LADDER_TOL
+
+
+def scaled_lowpass(bank, factor):
+    low = bank.filters[0]
+    filters = (FilterCoeffs(low.taps * factor, offset=low.offset),) + bank.filters[1:]
+    return FilterBank(bank.N, bank.g, filters, lowpass_normalized=False)
+
+
+def test_ladder_certificate_refuses_wherever_the_dense_checks_do():
+    rng = np.random.default_rng(26)
+    cases = [(preset_bank("db4"), 3)]
+    cases += [(random_spin_bank(rng, N, k), depth) for N, k, depth in ((2, 3, 3), (3, 2, 2), (4, 2, 2), (8, 1, 2))]
+    for bank, depth in cases:
+        L = smallest_ladder_period(bank, depth)
+        verdicts = []
+        for eps in np.logspace(-14, -9, 11):
+            scaled = scaled_lowpass(bank, 1.0 + eps)
+            defect = dense_ladder_defect(dense_ladder(scaled, L, depth))
+            try:
+                lad = subband_ladder(build_operators(scaled, L), depth)
+            except ValueError as exc:
+                assert "ladder certificate" in str(exc)
+                verdicts.append((True, defect > LADDER_TOL))
+            else:
+                assert defect <= lad.bound
+                verdicts.append((False, defect > LADDER_TOL))
+        assert all(refused for refused, oracle_refuses in verdicts if oracle_refuses)
+        # the sweep spans both verdicts of both checks
+        assert verdicts[0] == (False, False) and verdicts[-1] == (True, True)
 
 
 def test_subband_ladder_validation():

@@ -20,6 +20,7 @@ from wavebank import (
     synthesize_from_spins,
     unitarity_check,
 )
+from wavebank import loops
 from wavebank.filters import relations_check
 
 SQRT2 = math.sqrt(2.0)
@@ -383,11 +384,59 @@ def test_factor_splits_the_peel_before_it_refuses():
         assert np.abs(back.coeffs - loop.coeffs).max() <= 1e-10
 
 
-def test_factor_refuses_factors_that_miss_the_round_trip():
-    # all three peels complete on these loops, but the best of their factors
-    # re-synthesizes them with coefficient errors of about 2.3e-10 (the best
-    # split's, at seed 8) and 7.6e-10 (the transpose's, at seed 13)
+def test_factor_mirrors_the_split_before_it_refuses():
+    # the one-sided peels and the best split miss the round trip on these
+    # loops; the mirrored split, left first and then right, factors them to
+    # about 3.2e-11 and 2.5e-13
     for seed, N, k in ((8, 2, 32), (13, 3, 24)):
+        loop = synthesize_from_spins(random_spins(np.random.default_rng(seed), N, k))
+        sf = factor_to_spins(loop)
+        assert len(sf.factors) == k and all(vecs.shape[0] == 1 for vecs in sf.factors)
+        back = synthesize_from_spins(sf)
+        assert back.degree == loop.degree
+        assert np.abs(back.coeffs - loop.coeffs).max() <= 1e-10
+
+
+def split_candidates_by_factor(coeffs, m):
+    """Each split candidate by its own right peel and `_factor` call, as an oracle."""
+    rem, right, out = coeffs.copy(), [], []
+    for j in range(m + 1):
+        if j:
+            right += loops._peel_steps(rem, 1)
+        V, left = loops._from_transpose(*loops._factor(rem.transpose(0, 2, 1), m - j))
+        out.append((V, left + tuple(reversed(right))))
+    return out
+
+
+@pytest.mark.parametrize("budget", [loops._SPLIT_BYTES, 4096])
+def test_batched_split_candidates_match_the_per_candidate_peel(budget, monkeypatch):
+    # the stacked steps update by rank-one products, the oracle by matrix
+    # products; a small budget splits the candidates into several batches
+    monkeypatch.setattr(loops, "_SPLIT_BYTES", budget)
+    rng = np.random.default_rng(26)
+    for N, k in ((2, 6), (3, 4), (4, 3), (8, 2)):
+        coeffs = synthesize_from_spins(random_spins(rng, N, k)).coeffs
+        for T in (coeffs, coeffs.transpose(0, 2, 1)):
+            oracle = split_candidates_by_factor(T, k)
+            batches = list(loops._split_batches(T, k))
+            assert sum(len(scores) for *_, scores in batches) == k + 1
+            for j0, W, peeled, right, scores in batches:
+                for i in range(len(scores)):
+                    V, spins = loops._split_candidate(k, j0 + i, W[i], peeled[i], right)
+                    V_o, spins_o = oracle[j0 + i]
+                    assert np.abs(V - V_o).max() <= 1e-12
+                    assert len(spins) == k
+                    for v, v_o in zip(spins, spins_o):  # spins are defined up to phase
+                        assert np.abs(v.T @ v.conj() - v_o.T @ v_o.conj()).max() <= 1e-12
+
+
+# draws that all four attempts refuse with an error inside (1e-10, 1e-9):
+# about 2.7e-10 at seed 10 and 3.4e-10 at seed 79
+REFUSED_DRAWS = ((10, 3, 32), (79, 4, 24))
+
+
+def test_factor_refuses_factors_that_miss_the_round_trip():
+    for seed, N, k in REFUSED_DRAWS:
         loop = synthesize_from_spins(random_spins(np.random.default_rng(seed), N, k))
         with pytest.raises(NotFactorableError, match="re-synthesize") as exc:
             factor_to_spins(loop)
@@ -398,7 +447,7 @@ def test_factor_refuses_factors_that_miss_the_round_trip():
 def test_refusal_names_the_step_and_the_conditioning():
     # for rank-one factors |P_1 ... P_k|_2 = prod |<v_i, v_{i+1}>|, and the refused
     # factors match the generating spin vectors up to phase
-    for seed, N, k in ((8, 2, 32), (13, 3, 24)):
+    for seed, N, k in REFUSED_DRAWS:
         spins = random_spins(np.random.default_rng(seed), N, k)
         with pytest.raises(NotFactorableError) as exc:
             factor_to_spins(synthesize_from_spins(spins))
