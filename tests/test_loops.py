@@ -374,21 +374,11 @@ def test_factor_rejects_non_paraunitary():
 def test_factor_splits_the_peel_before_it_refuses():
     # the loop's own peel and the transpose's miss the round trip on these
     # loops (5.8e-10 and 1.3e-5 at seed 17, 6.8e-8 and 2.4e-10 at seed 48);
-    # the two-sided peel at its best split factors them to 1.5e-15 and 2.0e-15
-    for seed, N, k in ((17, 2, 24), (48, 3, 24)):
-        loop = synthesize_from_spins(random_spins(np.random.default_rng(seed), N, k))
-        sf = factor_to_spins(loop)
-        assert len(sf.factors) == k and all(vecs.shape[0] == 1 for vecs in sf.factors)
-        back = synthesize_from_spins(sf)
-        assert back.degree == loop.degree
-        assert np.abs(back.coeffs - loop.coeffs).max() <= 1e-10
-
-
-def test_factor_mirrors_the_split_before_it_refuses():
-    # the one-sided peels and the best split miss the round trip on these
-    # loops; the mirrored split, left first and then right, factors them to
-    # about 3.2e-11 and 2.5e-13
-    for seed, N, k in ((8, 2, 32), (13, 3, 24)):
+    # the two-sided peel at its best split factors them to about 1.7e-15 and
+    # 1.1e-15.  At seeds 8 and 13 the best split misses too (2.5e-10 and
+    # 4.1e-10), and the mirrored split, left first, factors them to about
+    # 3.2e-11 and 2.5e-13
+    for seed, N, k in ((17, 2, 24), (48, 3, 24), (8, 2, 32), (13, 3, 24)):
         loop = synthesize_from_spins(random_spins(np.random.default_rng(seed), N, k))
         sf = factor_to_spins(loop)
         assert len(sf.factors) == k and all(vecs.shape[0] == 1 for vecs in sf.factors)
@@ -408,11 +398,12 @@ def split_candidates_by_factor(coeffs, m):
     return out
 
 
-@pytest.mark.parametrize("budget", [loops._SPLIT_BYTES, 4096])
+@pytest.mark.parametrize("budget", [None, 4096])
 def test_batched_split_candidates_match_the_per_candidate_peel(budget, monkeypatch):
     # the stacked steps update by rank-one products, the oracle by matrix
     # products; a small budget splits the candidates into several batches
-    monkeypatch.setattr(loops, "_SPLIT_BYTES", budget)
+    if budget is not None:
+        monkeypatch.setattr(loops, "_SPLIT_BYTES", budget)
     rng = np.random.default_rng(26)
     for N, k in ((2, 6), (3, 4), (4, 3), (8, 2)):
         coeffs = synthesize_from_spins(random_spins(rng, N, k)).coeffs
